@@ -54,6 +54,7 @@ to the most recently started run.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Union
@@ -467,7 +468,17 @@ class TunerSession:
             ledger=ledger,
             sliced=tuner.sliced,
         )
-        service.add_callback(lambda fulfillment: self._fire("fulfillment", fulfillment))
+        # A weak reference: the service lives in this session's run state, so
+        # a callback holding the session would make every finished run (its
+        # tuner, datasets and models) wait for the cyclic garbage collector.
+        session_ref = weakref.ref(self)
+
+        def forward(fulfillment) -> None:
+            session = session_ref()
+            if session is not None:
+                session._fire("fulfillment", fulfillment)
+
+        service.add_callback(forward)
         return TunerState(
             sliced=tuner.sliced,
             source=tuner.source,

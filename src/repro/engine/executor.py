@@ -7,6 +7,12 @@ backend is purely a deployment choice: :class:`SerialExecutor` (in-process)
 and :class:`ProcessPoolExecutor` (one worker process per core) produce
 byte-identical results for the same jobs.
 
+:class:`SerialExecutor` trains each wave (the cache misses of one
+:meth:`Executor.submit` call) in lockstep: compatible softmax jobs step
+together on stacked arrays, one set of numpy calls per mini-batch tick
+instead of one per job, with results bitwise equal to training each job
+alone.  :class:`ProcessPoolExecutor` trains one job per worker task.
+
 Both backends optionally wrap a :class:`~repro.engine.cache.ResultCache`;
 cached jobs are served without running, and only the misses are dispatched.
 Executors also expose :meth:`Executor.map` — a generic ordered map used by
@@ -24,7 +30,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.engine.cache import ResultCache
-from repro.engine.job import JobResult, TrainingJob, run_training_job
+from repro.engine.job import (
+    JobResult,
+    TrainingJob,
+    run_training_job,
+    run_training_wave,
+)
 from repro.telemetry import (
     CollectSink,
     MetricsRegistry,
@@ -173,12 +184,20 @@ class _TracedWorkerRunner:
 
 
 class SerialExecutor(Executor):
-    """Run every job in the calling process, one after another."""
+    """Run a wave's jobs in the calling process, compatible ones in lockstep.
+
+    The cache-missed jobs of one :meth:`submit` call form a wave.  Softmax
+    regressions under Adam that share data width and hyperparameters step
+    together through :func:`~repro.ml.train.train_lockstep`; every other
+    job (MLP, SGD/momentum, validation, early stopping) trains alone.  Each
+    result is bitwise equal to training that job by itself (see
+    :func:`~repro.engine.job.run_training_wave`).
+    """
 
     name = "serial"
 
     def _run_jobs(self, jobs: Sequence[TrainingJob]) -> list[JobResult]:
-        return [run_training_job(job) for job in jobs]
+        return run_training_wave(jobs)
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(item) for item in items]
@@ -251,7 +270,7 @@ class ProcessPoolExecutor(Executor):
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return [run_training_job(job) for job in jobs]
+            return run_training_wave(jobs)
         pool = self._ensure_pool()
         # A process-shared cache (SqliteResultCache) supplies a picklable
         # runner that re-checks and feeds the shared file from inside each

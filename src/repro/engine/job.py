@@ -18,11 +18,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any
+from typing import Any, Sequence
 
 from repro.engine.factories import ModelFactory
 from repro.ml.data import Dataset
-from repro.ml.train import Trainer, TrainingConfig, TrainingResult
+from repro.ml.train import (
+    Trainer,
+    TrainingConfig,
+    TrainingResult,
+    lockstep_key,
+    steps_per_epoch,
+    train_lockstep,
+)
+from repro.telemetry import get_tracer
 
 
 def fingerprint_dataset(dataset: Dataset) -> str:
@@ -151,18 +159,71 @@ class JobResult:
     from_cache: bool = False
 
 
-def run_training_job(job: TrainingJob) -> JobResult:
-    """Execute one job: build a fresh model, train it, package the result.
-
-    Module-level (not a method) so process-pool workers can import it.
-    """
+def _build_model(job: TrainingJob) -> object:
     if job.model_factory is None:
         from repro.engine.factories import get_model_factory
 
         factory: ModelFactory = get_model_factory(job.factory_name)
     else:
         factory = job.model_factory
-    model = factory(job.n_classes)
+    return factory(job.n_classes)
+
+
+def _fit(job: TrainingJob, model: object) -> JobResult:
     trainer = Trainer(config=job.trainer_config, random_state=job.seed)
     training = trainer.fit(model, job.train, job.validation)
     return JobResult(model=model, training=training, tag=job.tag)
+
+
+def run_training_job(job: TrainingJob) -> JobResult:
+    """Execute one job: build a fresh model, train it, package the result.
+
+    Module-level (not a method) so process-pool workers can import it.
+    """
+    return _fit(job, _build_model(job))
+
+
+def run_training_wave(jobs: Sequence[TrainingJob]) -> list[JobResult]:
+    """Execute a wave of jobs, stepping compatible ones in lockstep.
+
+    Two or more jobs with equal :func:`~repro.ml.train.lockstep_key`
+    (softmax regression under Adam with no validation or early stopping, on
+    the same data width and hyperparameters) train together in one
+    :func:`~repro.ml.train.train_lockstep` call under an ``engine.lockstep``
+    span.  Every other job trains alone through :meth:`Trainer.fit
+    <repro.ml.train.Trainer.fit>`, as :func:`run_training_job` would.  Each
+    job keeps its own seed, so every result is bitwise equal to
+    :func:`run_training_job` on that job; results come back in submission
+    order.
+    """
+    models = [_build_model(job) for job in jobs]
+    results: list[JobResult | None] = [None] * len(jobs)
+    waves: dict[tuple | None, list[int]] = {}
+    for index, (job, model) in enumerate(zip(jobs, models)):
+        key = lockstep_key(model, job.train, job.trainer_config, job.validation)
+        waves.setdefault(key, []).append(index)
+    tracer = get_tracer()
+    for key, indices in waves.items():
+        if key is None or len(indices) == 1:
+            for index in indices:
+                results[index] = _fit(jobs[index], models[index])
+            continue
+        config = jobs[indices[0]].trainer_config
+        sizes = [len(jobs[index].train) for index in indices]
+        with tracer.span(
+            "engine.lockstep",
+            attributes={
+                "lanes": len(indices),
+                "ticks": config.epochs
+                * max(steps_per_epoch(n, config.batch_size) for n in sizes),
+                "examples": config.epochs * sum(sizes),
+            },
+        ):
+            trainings = train_lockstep(
+                [(models[i], jobs[i].train, jobs[i].seed) for i in indices], config
+            )
+        for index, training in zip(indices, trainings):
+            results[index] = JobResult(
+                model=models[index], training=training, tag=jobs[index].tag
+            )
+    return results

@@ -24,6 +24,7 @@ a crash and resumes byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from repro.core.registry import available_strategies, is_registered
 from repro.core.tuner import SliceTuner, SliceTunerConfig
 from repro.curves.estimator import ModelFactory, default_model_factory
 from repro.datasets.registry import build_task
+from repro.engine.cache import InMemoryResultCache, ResultCache
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.factories import MLPFactory
 from repro.experiments.config import ExperimentConfig
@@ -239,9 +241,17 @@ def prepare_instance(
 
 
 def run_method(
-    config: ExperimentConfig, method: str, trial: int
+    config: ExperimentConfig,
+    method: str,
+    trial: int,
+    result_cache: ResultCache | None = None,
 ) -> MethodOutcome:
-    """Run one method for one trial and measure loss/unfairness before/after."""
+    """Run one method for one trial and measure loss/unfairness before/after.
+
+    ``result_cache`` is attached to the tuner's executor, so trainings it
+    already holds are served instead of re-run; results are the same with
+    or without it.
+    """
     seed = config.seed + trial
     sliced, sources = prepare_named_instance(config, seed)
     discover, reslice_every = discovery_for(config)
@@ -259,6 +269,7 @@ def run_method(
         ),
         random_state=seed + 20_000,
         sources=sources,
+        result_cache=result_cache,
     )
     if method == "original":
         report = tuner.evaluate()
@@ -292,10 +303,13 @@ def run_method(
     )
 
 
-def _run_method_cell(task: tuple[ExperimentConfig, str, int]) -> MethodOutcome:
+def _run_method_cell(
+    task: tuple[ExperimentConfig, str, int],
+    result_cache: ResultCache | None = None,
+) -> MethodOutcome:
     """One (method, trial) grid cell; module-level so it can cross processes."""
     config, method, trial = task
-    return run_method(config, method, trial)
+    return run_method(config, method, trial, result_cache=result_cache)
 
 
 def compare_methods(
@@ -310,7 +324,24 @@ def compare_methods(
     paper's tables.  The full (method, trial) grid is fanned out through
     ``executor`` (serial by default); every cell is independently seeded, so
     the aggregates do not depend on the backend.
+
+    The cells retrain many identical jobs: ``"original"`` and every
+    method's initial evaluation share data and seed, and so do the methods'
+    first estimate waves.  Every cell's tuner therefore shares one
+    :class:`~repro.engine.cache.InMemoryResultCache` scoped to this call, so
+    each distinct job trains once.  The cache is never shared across calls
+    and does not change any result.  Cells that run in worker processes
+    each get their own copy, so there only jobs within a cell are shared.
     """
+    return _compare(config, include_original, executor, InMemoryResultCache())
+
+
+def _compare(
+    config: ExperimentConfig,
+    include_original: bool,
+    executor: Executor | None,
+    result_cache: ResultCache,
+) -> dict[str, MethodAggregate]:
     methods = list(config.methods)
     if include_original and "original" not in methods:
         methods = ["original", *methods]
@@ -326,7 +357,7 @@ def compare_methods(
         for method in methods
         for trial in range(config.trials)
     ]
-    cells = executor.map(_run_method_cell, grid)
+    cells = executor.map(partial(_run_method_cell, result_cache=result_cache), grid)
     outcomes: dict[str, list[MethodOutcome]] = {m: [] for m in methods}
     for (_, method, _), outcome in zip(grid, cells):
         outcomes[method].append(outcome)
@@ -439,8 +470,13 @@ def budget_sweep(
     """Loss and Avg. EER of every method at several budgets (Figure 10).
 
     Returns ``{method: [(budget, loss_mean, avg_eer_mean), ...]}``.  Each
-    budget's method/trial grid fans out through ``executor``.
+    budget's method/trial grid fans out through ``executor``.  Every budget
+    starts from the same data and seeds, so the budgets share one
+    :class:`~repro.engine.cache.InMemoryResultCache` scoped to this call
+    (see :func:`compare_methods`): the initial evaluations and first
+    estimate waves train once for the whole sweep.
     """
+    result_cache = InMemoryResultCache()
     series: dict[str, list[tuple[float, float, float]]] = {
         method: [] for method in config.methods
     }
@@ -460,8 +496,11 @@ def budget_sweep(
             seed=config.seed,
             extra=dict(config.extra),
         )
-        aggregates = compare_methods(
-            sweep_config, include_original=False, executor=executor
+        aggregates = _compare(
+            sweep_config,
+            include_original=False,
+            executor=executor,
+            result_cache=result_cache,
         )
         for method in config.methods:
             aggregate = aggregates[method]

@@ -99,18 +99,34 @@ class Adam(Optimizer):
             self._first_moments = [np.zeros_like(p) for p in params]
             self._second_moments = [np.zeros_like(p) for p in params]
         self._step += 1
-        bias1 = 1.0 - self.beta1**self._step
-        bias2 = 1.0 - self.beta2**self._step
         for param, grad, m, v in zip(
             params, grads, self._first_moments, self._second_moments
         ):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(grad)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            self.apply(param, grad, m, v, self._step)
+
+    def apply(
+        self,
+        param: np.ndarray,
+        grad: np.ndarray,
+        m: np.ndarray,
+        v: np.ndarray,
+        step: int,
+    ) -> None:
+        """Adam step number ``step`` on ``param`` with caller-owned moments.
+
+        The elementwise arithmetic of :meth:`update`, exposed so the
+        lockstep trainer can step many models' parameters, kept in one flat
+        buffer, with one set of calls.
+        """
+        bias1 = 1.0 - self.beta1**step
+        bias2 = 1.0 - self.beta2**step
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * np.square(grad)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 def make_optimizer(name: str, learning_rate: float = 0.05) -> Optimizer:

@@ -5,17 +5,25 @@ learning-curve estimation, the final evaluation trainings, the influence
 experiments — goes through :class:`Trainer` so they all use the same
 hyperparameters, batching, and early-stopping behaviour, exactly like the
 paper fixes hyperparameters once per dataset and never changes them again.
+
+Softmax regression under Adam with no validation (the paper workload's
+model) has a second, faster loop: :func:`train_lockstep` steps K such
+trainings in lockstep on stacked arrays, one set of numpy calls per tick
+instead of one per model.  It is bitwise identical to the per-batch loop,
+and :meth:`Trainer.fit` uses it with K = 1 for every model it covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from repro.ml.data import Dataset
-from repro.ml.optim import Optimizer, make_optimizer
+from repro.ml.linear import SoftmaxRegression
+from repro.ml.losses import one_hot, softmax
+from repro.ml.optim import Adam, Optimizer, make_optimizer
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
@@ -159,6 +167,8 @@ class Trainer:
         if len(train) == 0:
             raise ConfigurationError("cannot train on an empty dataset")
         config = self.config
+        if lockstep_key(model, train, config, validation) is not None:
+            return train_lockstep([(model, train, self._rng)], config)[0]
 
         if (
             validation is None
@@ -222,6 +232,162 @@ class Trainer:
             labels = train.labels[batch_idx]
             grads = model.gradients(features, labels)
             optimizer.update(model.parameters(), grads)
+
+
+def steps_per_epoch(n: int, batch_size: int) -> int:
+    """Mini-batches in one epoch over ``n`` examples (the last may be short)."""
+    return -(-n // min(batch_size, n))
+
+
+def lockstep_key(
+    model: TrainableModel,
+    train: Dataset,
+    config: TrainingConfig,
+    validation: Dataset | None = None,
+) -> tuple | None:
+    """Which :func:`train_lockstep` call a training can join, if any.
+
+    Trainings with equal keys can step in lockstep: a plain
+    :class:`~repro.ml.linear.SoftmaxRegression` under Adam, with no
+    validation data and no early stopping, on data of the same width and
+    hyperparameters.  Every other training (other models, optimizers,
+    validation, patience) returns ``None`` and runs the per-batch loop.
+    """
+    if (
+        type(model) is not SoftmaxRegression
+        or validation is not None
+        or config.early_stopping_patience > 0
+        or config.optimizer.strip().lower() != "adam"
+    ):
+        return None
+    return (
+        train.n_features,
+        model.n_classes,
+        model.l2,
+        config.epochs,
+        config.batch_size,
+        config.learning_rate,
+    )
+
+
+def train_lockstep(
+    lanes: Sequence[tuple[SoftmaxRegression, Dataset, RandomState]],
+    config: TrainingConfig,
+) -> list[TrainingResult]:
+    """Train several softmax regressions in lockstep; one result per lane.
+
+    Each lane is ``(model, train, random_state)`` and every lane must share
+    one :func:`lockstep_key`.  Every lane draws its own per-epoch
+    permutation from its own generator and keeps its own batch boundaries,
+    so each model ends bitwise equal to a per-batch :meth:`Trainer.fit`
+    with that generator; lanes must therefore not share a generator.
+
+    The lanes are ordered by total step count, and their parameters and
+    Adam moments sit in one ``(K, d*k + k)`` buffer in that order.  All
+    active lanes step once per tick, so the active set is always a prefix of
+    the buffer, Adam's bias correction is one scalar, and the Adam step is
+    one set of elementwise calls.  Within a tick, lanes whose current batch
+    has the same length (all full batches, or equal short last batches)
+    share one stacked forward/backward pass.  Scratch memory is one stacked
+    copy of the training data plus one-hot targets: O(sum n*d), independent
+    of ``epochs``.
+    """
+    models = [model for model, _, _ in lanes]
+    trains = [train for _, train, _ in lanes]
+    if any(len(train) == 0 for train in trains):
+        raise ConfigurationError("cannot train on an empty dataset")
+    rngs = [as_generator(random_state) for _, _, random_state in lanes]
+    n_features = trains[0].n_features
+    n_classes = models[0].n_classes
+    l2 = models[0].l2
+    epochs, batch_size = config.epochs, config.batch_size
+    optimizer = Adam(config.learning_rate)
+
+    # Buffer row r holds lane order[r]; lanes with more steps come first.
+    totals = [epochs * steps_per_epoch(len(train), batch_size) for train in trains]
+    order = sorted(range(len(lanes)), key=lambda lane: -totals[lane])
+    sizes = [len(trains[lane]) for lane in order]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    features = np.concatenate([trains[lane].features for lane in order])
+    targets = one_hot(
+        np.concatenate([trains[lane].labels for lane in order]), n_classes
+    )
+
+    n_weights = n_features * n_classes
+    params = np.empty((len(lanes), n_weights + n_classes))
+    grads = np.empty_like(params)
+    first_moments = np.zeros_like(params)
+    second_moments = np.zeros_like(params)
+    for model in models:
+        model.initialize(n_features)
+    for row, lane in enumerate(order):
+        model = models[lane]
+        params[row, :n_weights] = model.weights.ravel()
+        params[row, n_weights:] = model.bias
+        # The models train on views of the buffer, so their per-epoch loss
+        # sees the live parameters.
+        model.weights = params[row, :n_weights].reshape(n_features, n_classes)
+        model.bias = params[row, n_weights:]
+
+    losses: list[list[float]] = [[] for _ in lanes]
+    permutations: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * len(lanes)
+    positions = [0] * len(lanes)
+    index = np.empty((len(lanes), batch_size), dtype=np.intp)
+    active, tick = len(lanes), 0
+    while active:
+        tick += 1
+        groups: dict[int, list[int]] = {}
+        batches: list[np.ndarray] = []
+        for row in range(active):
+            start = positions[row]
+            if start == 0:
+                permutations[row] = (
+                    rngs[order[row]].permutation(sizes[row]) + offsets[row]
+                )
+            stop = min(start + batch_size, sizes[row])
+            positions[row] = stop
+            batches.append(permutations[row][start:stop])
+            groups.setdefault(stop - start, []).append(row)
+        for length, rows in groups.items():
+            for slot, row in enumerate(rows):
+                index[slot, :length] = batches[row]
+            rows_idx = index[: len(rows), :length]
+            # Rows come in buffer order, so a group of the first G rows is a
+            # view of the buffer; any other group is gathered and scattered.
+            selected = slice(0, len(rows)) if rows[-1] == len(rows) - 1 else rows
+            x = features[rows_idx]
+            lane_params = params[selected]
+            weights = lane_params[:, :n_weights].reshape(-1, n_features, n_classes)
+            probabilities = softmax(
+                np.matmul(x, weights) + lane_params[:, None, n_weights:]
+            )
+            dlogits = (probabilities - targets[rows_idx]) / length
+            grads[selected, :n_weights] = (
+                np.matmul(x.transpose(0, 2, 1), dlogits) + l2 * weights
+            ).reshape(-1, n_weights)
+            grads[selected, n_weights:] = dlogits.sum(axis=1)
+        optimizer.apply(
+            params[:active],
+            grads[:active],
+            first_moments[:active],
+            second_moments[:active],
+            tick,
+        )
+        for row in range(active):
+            if positions[row] == sizes[row]:
+                positions[row] = 0
+                lane = order[row]
+                losses[lane].append(models[lane].loss(trains[lane]))
+        while active and totals[order[active - 1]] == tick:
+            active -= 1
+
+    for model in models:
+        model.weights = model.weights.copy()
+        model.bias = model.bias.copy()
+    return [
+        TrainingResult(epochs_run=epochs, train_losses=lane_losses)
+        for lane_losses in losses
+    ]
 
 
 def train_model(

@@ -36,6 +36,33 @@ def run_result_json(task, fast_training, fast_curves, executor=None) -> str:
     return session.result().to_json()
 
 
+def assert_lockstep_spans_cover_every_executed_job(spans) -> None:
+    """Each wave of two or more executed jobs trains under ``engine.lockstep``.
+
+    Every job here is a softmax regression under Adam, so all of a wave's
+    executed jobs share one lockstep call; a lone job trains through
+    ``Trainer.fit`` and opens no lockstep span.
+    """
+    by_id = {span.span_id: span for span in spans}
+    lanes_by_submit: dict[str, int] = {}
+    for span in spans:
+        if span.name == "engine.lockstep":
+            parent = by_id[span.parent_id]
+            assert parent.name == "engine.submit"
+            assert span.attributes["ticks"] > 0
+            assert span.attributes["examples"] >= span.attributes["ticks"]
+            lanes_by_submit[parent.span_id] = (
+                lanes_by_submit.get(parent.span_id, 0) + span.attributes["lanes"]
+            )
+    stacked = {
+        span.span_id: span.attributes["executed"]
+        for span in spans
+        if span.name == "engine.submit" and span.attributes["executed"] > 1
+    }
+    assert stacked
+    assert lanes_by_submit == stacked
+
+
 class TestByteIdentity:
     def test_serial_traced_equals_untraced(
         self, tiny_task, fast_training, fast_curves, live_tracer
@@ -45,6 +72,7 @@ class TestByteIdentity:
         tracer, sink = live_tracer
         traced = run_result_json(tiny_task, fast_training, fast_curves)
         assert len(sink.spans()) > 0  # tracing was actually on
+        assert_lockstep_spans_cover_every_executed_job(sink.spans())
         previous = set_tracer(None)
         try:
             untraced = run_result_json(tiny_task, fast_training, fast_curves)
@@ -70,6 +98,12 @@ class TestByteIdentity:
         finally:
             set_tracer(previous)
         assert traced == untraced
+        # The untraced serial run above trained its waves in lockstep; the
+        # traced pool run trained one job per worker task.  Same bytes.
+        pool_spans = len(sink.spans())
+        serial_traced = run_result_json(tiny_task, fast_training, fast_curves)
+        assert serial_traced == traced
+        assert_lockstep_spans_cover_every_executed_job(sink.spans()[pool_spans:])
 
 
 class TestSpanTree:
