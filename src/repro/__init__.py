@@ -116,244 +116,113 @@ See ``examples/`` for runnable scripts and ``benchmarks/`` for the harness
 that regenerates every table and figure of the paper's evaluation.
 """
 
-from repro.analytics import (
-    Analytics,
-    REPORT_SCHEMA,
-    assert_consistent,
-    reference_rows,
-)
-from repro.acquisition import (
-    AcquisitionRequest,
-    AcquisitionRouter,
-    AcquisitionService,
-    BudgetLedger,
-    CompositeSource,
-    CrowdsourcingSimulator,
-    EscalatingCost,
-    Fulfillment,
-    GeneratorDataSource,
-    PoolDataSource,
-    TableCost,
-    ThrottledSource,
-    UnitCost,
-    WorkerPool,
-    available_sources,
-    get_source,
-    register_source,
-    source_descriptions,
-)
-from repro.bandit import BanditResult, RottingBanditAcquirer
-from repro.campaigns import (
-    Campaign,
-    CampaignScheduler,
-    CampaignSpec,
-    CampaignStore,
-    InMemoryStore,
-    SqliteStore,
-)
-from repro.core import (
-    AcquisitionPlan,
-    AcquisitionStrategy,
-    IterationRecord,
-    IterativeAlgorithm,
-    OneShotAlgorithm,
-    SelectiveAcquisitionProblem,
-    SliceTuner,
-    SliceTunerConfig,
-    TunerSession,
-    TunerState,
-    TuningResult,
-    available_strategies,
-    get_change_ratio,
-    get_strategy,
-    imbalance_ratio,
-    optimize_allocation,
-    proportional_allocation,
-    register_strategy,
-    strategy_descriptions,
-    uniform_allocation,
-    water_filling_allocation,
-)
-from repro.curves import (
-    CurveEstimationConfig,
-    FittedCurve,
-    LearningCurveEstimator,
-    PowerLawCurve,
-    PowerLawWithFloor,
-    fit_power_law,
-)
-from repro.engine import (
-    CurveCache,
-    Executor,
-    InMemoryResultCache,
-    MLPFactory,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    SqliteResultCache,
-    TrainingJob,
-    available_executors,
-    get_executor,
-)
-from repro.datasets import (
-    SliceBlueprint,
-    SyntheticTask,
-    adult_like_task,
-    faces_like_task,
-    fashion_like_task,
-    mixed_like_task,
-)
-from repro.fairness import (
-    FairnessReport,
-    average_equalized_error_rates,
-    evaluate_fairness,
-    max_equalized_error_rates,
-    unfairness,
-)
-from repro.ml import (
-    Dataset,
-    MLPClassifier,
-    SoftmaxRegression,
-    Trainer,
-    TrainingConfig,
-)
-from repro.monitor import (
-    Alert,
-    AlertRule,
-    CampaignMonitor,
-    HealthEvaluator,
-    alert_history,
-    available_rules,
-    get_rule,
-    register_rule,
-)
-from repro.serve import TunerClient, TunerServer, TunerService
-from repro.slices import (
-    Slice,
-    SliceDiscoveryMethod,
-    SlicedDataset,
-    SliceSpec,
-    available_discovery_methods,
-    get_discovery_method,
-    register_discovery_method,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "SliceTuner",
-    "SliceTunerConfig",
-    "TunerSession",
-    "TuningResult",
-    "IterationRecord",
-    "AcquisitionPlan",
-    "OneShotAlgorithm",
-    "IterativeAlgorithm",
-    "SelectiveAcquisitionProblem",
-    "optimize_allocation",
-    "uniform_allocation",
-    "water_filling_allocation",
-    "proportional_allocation",
-    "imbalance_ratio",
-    "get_change_ratio",
-    # strategy registry
-    "AcquisitionStrategy",
-    "TunerState",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "strategy_descriptions",
-    # bandit
-    "RottingBanditAcquirer",
-    "BanditResult",
-    # campaigns
-    "Campaign",
-    "CampaignScheduler",
-    "CampaignSpec",
-    "CampaignStore",
-    "InMemoryStore",
-    "SqliteStore",
-    # serve
-    "TunerService",
-    "TunerServer",
-    "TunerClient",
-    # analytics
-    "Analytics",
-    "REPORT_SCHEMA",
-    "assert_consistent",
-    "reference_rows",
-    # curves
-    "PowerLawCurve",
-    "PowerLawWithFloor",
-    "FittedCurve",
-    "fit_power_law",
-    "LearningCurveEstimator",
-    "CurveEstimationConfig",
-    # slices
-    "Slice",
-    "SliceSpec",
-    "SlicedDataset",
-    "SliceDiscoveryMethod",
-    "register_discovery_method",
-    "get_discovery_method",
-    "available_discovery_methods",
-    # ml
-    "Dataset",
-    "SoftmaxRegression",
-    "MLPClassifier",
-    "Trainer",
-    "TrainingConfig",
-    # fairness
-    "FairnessReport",
-    "evaluate_fairness",
-    "unfairness",
-    "average_equalized_error_rates",
-    "max_equalized_error_rates",
-    # datasets
-    "SyntheticTask",
-    "SliceBlueprint",
-    "fashion_like_task",
-    "mixed_like_task",
-    "faces_like_task",
-    "adult_like_task",
-    # engine
-    "Executor",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "TrainingJob",
-    "InMemoryResultCache",
-    "SqliteResultCache",
-    "CurveCache",
-    "MLPFactory",
-    "get_executor",
-    "available_executors",
-    # acquisition
-    "GeneratorDataSource",
-    "PoolDataSource",
-    "CompositeSource",
-    "ThrottledSource",
-    "AcquisitionRequest",
-    "Fulfillment",
-    "AcquisitionRouter",
-    "AcquisitionService",
-    "register_source",
-    "get_source",
-    "available_sources",
-    "source_descriptions",
-    "UnitCost",
-    "TableCost",
-    "EscalatingCost",
-    "BudgetLedger",
-    "WorkerPool",
-    "CrowdsourcingSimulator",
-    # monitoring
-    "Alert",
-    "AlertRule",
-    "CampaignMonitor",
-    "HealthEvaluator",
-    "alert_history",
-    "available_rules",
-    "get_rule",
-    "register_rule",
-]
+_exported, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".analytics.refresh": ("Analytics", "REPORT_SCHEMA"),
+        ".analytics.reference": ("assert_consistent", "reference_rows"),
+        ".acquisition.requests": ("AcquisitionRequest", "Fulfillment"),
+        ".acquisition.router": ("AcquisitionRouter",),
+        ".acquisition.service": ("AcquisitionService",),
+        ".acquisition.budget": ("BudgetLedger",),
+        ".acquisition.providers": (
+            "CompositeSource",
+            "ThrottledSource",
+            "available_sources",
+            "get_source",
+            "register_source",
+            "source_descriptions",
+        ),
+        ".acquisition.crowdsourcing": ("CrowdsourcingSimulator", "WorkerPool"),
+        ".acquisition.cost": ("EscalatingCost", "TableCost", "UnitCost"),
+        ".acquisition.source": ("GeneratorDataSource", "PoolDataSource"),
+        ".bandit.rotting": ("BanditResult", "RottingBanditAcquirer"),
+        ".campaigns.campaign": ("Campaign", "CampaignSpec"),
+        ".campaigns.scheduler": ("CampaignScheduler",),
+        ".campaigns.store": ("CampaignStore", "InMemoryStore", "SqliteStore"),
+        ".core.plan": ("AcquisitionPlan", "IterationRecord", "TuningResult"),
+        ".core.strategy_api": ("AcquisitionStrategy", "TunerState"),
+        ".core.iterative": ("IterativeAlgorithm",),
+        ".core.oneshot": ("OneShotAlgorithm",),
+        ".core.problem": ("SelectiveAcquisitionProblem",),
+        ".core.tuner": ("SliceTuner", "SliceTunerConfig"),
+        ".core.session": ("TunerSession",),
+        ".core.registry": (
+            "available_strategies",
+            "get_strategy",
+            "register_strategy",
+            "strategy_descriptions",
+        ),
+        ".core.imbalance": ("get_change_ratio", "imbalance_ratio"),
+        ".core.optimizer": ("optimize_allocation",),
+        ".core.baselines": (
+            "proportional_allocation",
+            "uniform_allocation",
+            "water_filling_allocation",
+        ),
+        ".curves.estimator": (
+            "CurveEstimationConfig",
+            "LearningCurveEstimator",
+        ),
+        ".curves.power_law": (
+            "FittedCurve",
+            "PowerLawCurve",
+            "PowerLawWithFloor",
+        ),
+        ".curves.fitting": ("fit_power_law",),
+        ".engine.cache": ("CurveCache", "InMemoryResultCache"),
+        ".engine.executor": (
+            "Executor",
+            "ProcessPoolExecutor",
+            "SerialExecutor",
+            "available_executors",
+            "get_executor",
+        ),
+        ".engine.factories": ("MLPFactory",),
+        ".engine.diskcache": ("SqliteResultCache",),
+        ".engine.job": ("TrainingJob",),
+        ".datasets.blueprints": ("SliceBlueprint", "SyntheticTask"),
+        ".datasets.adult": ("adult_like_task",),
+        ".datasets.faces": ("faces_like_task",),
+        ".datasets.fashion": ("fashion_like_task",),
+        ".datasets.mixed": ("mixed_like_task",),
+        ".fairness.report": ("FairnessReport", "evaluate_fairness"),
+        ".fairness.metrics": (
+            "average_equalized_error_rates",
+            "max_equalized_error_rates",
+            "unfairness",
+        ),
+        ".ml.data": ("Dataset",),
+        ".ml.mlp": ("MLPClassifier",),
+        ".ml.linear": ("SoftmaxRegression",),
+        ".ml.train": ("Trainer", "TrainingConfig"),
+        ".monitor.health": (
+            "Alert",
+            "CampaignMonitor",
+            "HealthEvaluator",
+            "alert_history",
+        ),
+        ".monitor.rules": (
+            "AlertRule",
+            "available_rules",
+            "get_rule",
+            "register_rule",
+        ),
+        ".serve.client": ("TunerClient",),
+        ".serve.server": ("TunerServer",),
+        ".serve.app": ("TunerService",),
+        ".slices.slice": ("Slice", "SliceSpec"),
+        ".slices.discovery": (
+            "SliceDiscoveryMethod",
+            "available_discovery_methods",
+            "get_discovery_method",
+            "register_discovery_method",
+        ),
+        ".slices.sliced_dataset": ("SlicedDataset",),
+    },
+)
+__all__ = ["__version__", *_exported]

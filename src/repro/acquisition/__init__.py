@@ -32,64 +32,42 @@ batch-oriented, partially-fulfilled, and multi-source:
   duplicates, and a post-processing filter (Section 6.1).
 """
 
-from repro.acquisition.budget import BudgetLedger
-from repro.acquisition.cost import (
-    CostModel,
-    EscalatingCost,
-    TableCost,
-    UnitCost,
-    cost_model_from_slices,
-)
-from repro.acquisition.crowdsourcing import (
-    AcquisitionReport,
-    CrowdsourcingSimulator,
-    WorkerPool,
-)
-from repro.acquisition.providers import (
-    CompositeSource,
-    ThrottledSource,
-    available_sources,
-    get_source,
-    is_source_registered,
-    register_source,
-    source_descriptions,
-    unregister_source,
-)
-from repro.acquisition.requests import AcquisitionRequest, Fulfillment
-from repro.acquisition.router import AcquisitionRouter, RoutedDelivery
-from repro.acquisition.service import AcquisitionService
-from repro.acquisition.source import (
-    DataSource,
-    DiscoverySource,
-    GeneratorDataSource,
-    PoolDataSource,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DataSource",
-    "GeneratorDataSource",
-    "PoolDataSource",
-    "DiscoverySource",
-    "CompositeSource",
-    "ThrottledSource",
-    "register_source",
-    "unregister_source",
-    "get_source",
-    "available_sources",
-    "source_descriptions",
-    "is_source_registered",
-    "AcquisitionRequest",
-    "Fulfillment",
-    "AcquisitionRouter",
-    "RoutedDelivery",
-    "AcquisitionService",
-    "CostModel",
-    "UnitCost",
-    "TableCost",
-    "EscalatingCost",
-    "cost_model_from_slices",
-    "BudgetLedger",
-    "WorkerPool",
-    "CrowdsourcingSimulator",
-    "AcquisitionReport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".budget": ("BudgetLedger",),
+        ".cost": (
+            "CostModel",
+            "EscalatingCost",
+            "TableCost",
+            "UnitCost",
+            "cost_model_from_slices",
+        ),
+        ".crowdsourcing": (
+            "AcquisitionReport",
+            "CrowdsourcingSimulator",
+            "WorkerPool",
+        ),
+        ".providers": (
+            "CompositeSource",
+            "ThrottledSource",
+            "available_sources",
+            "get_source",
+            "is_source_registered",
+            "register_source",
+            "source_descriptions",
+            "unregister_source",
+        ),
+        ".requests": ("AcquisitionRequest", "Fulfillment"),
+        ".router": ("AcquisitionRouter", "RoutedDelivery"),
+        ".service": ("AcquisitionService",),
+        ".source": (
+            "DataSource",
+            "DiscoverySource",
+            "GeneratorDataSource",
+            "PoolDataSource",
+        ),
+    },
+)

@@ -12,17 +12,13 @@ A read-everything / write-nothing layer on top of the campaign store:
   SQL-vs-Python checker behind ``cli report --verify``.
 """
 
-from repro.analytics.refresh import REPORT_SCHEMA, Analytics, default_analytics_path
-from repro.analytics.reference import assert_consistent, reference_rows
-from repro.analytics.views import REPORT_SECTIONS, VIEW_DEFINITIONS, ViewDef
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Analytics",
-    "REPORT_SCHEMA",
-    "REPORT_SECTIONS",
-    "VIEW_DEFINITIONS",
-    "ViewDef",
-    "assert_consistent",
-    "default_analytics_path",
-    "reference_rows",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".refresh": ("REPORT_SCHEMA", "Analytics", "default_analytics_path"),
+        ".reference": ("assert_consistent", "reference_rows"),
+        ".views": ("REPORT_SECTIONS", "VIEW_DEFINITIONS", "ViewDef"),
+    },
+)

@@ -9,6 +9,11 @@ show what a model-free sequential policy achieves compared to Slice Tuner's
 learning-curve-driven optimization.
 """
 
-from repro.bandit.rotting import BanditResult, RottingBanditAcquirer
+from repro._lazy import lazy_exports
 
-__all__ = ["RottingBanditAcquirer", "BanditResult"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".rotting": ("BanditResult", "RottingBanditAcquirer"),
+    },
+)

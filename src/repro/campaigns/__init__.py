@@ -15,54 +15,34 @@ API:
   budget-fair round-robin inside priority lanes.
 """
 
-from repro.campaigns.campaign import (
-    Campaign,
-    CampaignProgress,
-    CampaignSpec,
-    build_campaign_tuner,
-    campaign_progress,
-    campaign_summary,
-)
-from repro.campaigns.scheduler import (
-    CampaignScheduler,
-    SchedulerTick,
-)
-from repro.campaigns.store import (
-    COMPLETED,
-    FAILED,
-    PAUSED,
-    PENDING,
-    RESUMABLE,
-    RUNNING,
-    CampaignEvent,
-    CampaignRecord,
-    CampaignSnapshot,
-    CampaignStore,
-    InMemoryStore,
-    SqliteStore,
-    replay_events,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CampaignEvent",
-    "CampaignProgress",
-    "CampaignRecord",
-    "CampaignScheduler",
-    "CampaignSnapshot",
-    "CampaignSpec",
-    "CampaignStore",
-    "InMemoryStore",
-    "SchedulerTick",
-    "SqliteStore",
-    "build_campaign_tuner",
-    "campaign_progress",
-    "campaign_summary",
-    "replay_events",
-    "COMPLETED",
-    "FAILED",
-    "PAUSED",
-    "PENDING",
-    "RESUMABLE",
-    "RUNNING",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".campaign": (
+            "Campaign",
+            "CampaignProgress",
+            "CampaignSpec",
+            "build_campaign_tuner",
+            "campaign_progress",
+            "campaign_summary",
+        ),
+        ".scheduler": ("CampaignScheduler", "SchedulerTick"),
+        ".store": (
+            "COMPLETED",
+            "FAILED",
+            "PAUSED",
+            "PENDING",
+            "RESUMABLE",
+            "RUNNING",
+            "CampaignEvent",
+            "CampaignRecord",
+            "CampaignSnapshot",
+            "CampaignStore",
+            "InMemoryStore",
+            "SqliteStore",
+            "replay_events",
+        ),
+    },
+)

@@ -1,6 +1,6 @@
 """Command-line interface for the Slice Tuner reproduction.
 
-Thirteen subcommands cover the common workflows without writing any Python:
+Fourteen subcommands cover the common workflows without writing any Python:
 
 * ``curves`` — estimate and print the per-slice learning curves of a dataset.
 * ``plan`` — print the One-shot acquisition plan for a budget (no data is
@@ -53,13 +53,18 @@ Thirteen subcommands cover the common workflows without writing any Python:
   cursor.  ``--verify`` cross-checks every view row-for-row against a pure
   Python reference; ``--json`` emits the same ``repro.report/1`` payload
   the daemon serves at ``/reports/summary`` and ``/campaigns/<id>/report``.
+* ``monitor`` — health and alerting: ``rules`` (the registered SLO alert
+  rules), ``alerts`` (the durable alert history replayed from a store),
+  ``status`` (per-component health verdict of a store), ``watch`` (a live
+  dashboard over a running daemon's ``/health/deep`` and ``/alerts``), and
+  ``bench`` (the benchmark-regression watchdog over ``BENCH_*.json``).
 * ``strategies`` — list every registered acquisition strategy.
 * ``sources`` — list every registered data-source provider.
 
 Every subcommand accepts ``--quiet`` (print only essential results) and the
 process exits with code 0 on success, 2 on configuration/usage errors (the
 same code argparse uses), and a raised traceback only for genuine bugs.
-``run``, ``campaign``, ``report``, ``cache``, ``telemetry``,
+``run``, ``campaign``, ``report``, ``monitor``, ``cache``, ``telemetry``,
 ``strategies``, ``sources``,
 and the ``remote`` commands also accept ``--json`` for machine-readable
 output: one JSON object on stdout carrying a ``schema`` tag (e.g.
@@ -97,67 +102,25 @@ import signal
 import sys
 import threading
 import time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.acquisition.providers import source_descriptions
-from repro.analytics import Analytics, assert_consistent
-from repro.campaigns import (
-    RESUMABLE,
-    Campaign,
-    CampaignScheduler,
-    CampaignSpec,
-    SqliteStore,
-    campaign_progress,
-    campaign_summary,
-    replay_events,
-)
-from repro.core.registry import (
-    available_strategies,
-    get_strategy,
-    is_registered,
-    strategy_descriptions,
-)
-from repro.datasets.registry import available_tasks
-from repro.engine.cache import InMemoryResultCache, ResultCache
-from repro.engine.diskcache import SqliteResultCache, default_cache_path
-from repro.engine.executor import SerialExecutor, available_executors, get_executor
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import (
-    allocations_table,
-    cache_stats_table,
-    engine_cache_stats,
-    methods_table,
-    report_tables,
-    server_stats_table,
-    server_status_line,
-)
-from repro.experiments.runner import (
-    SOURCE_KINDS,
-    campaign_suite,
-    compare_methods,
-    discovery_for,
-    prepare_instance,
-    prepare_named_instance,
-)
-from repro.experiments.scenarios import list_scenarios
-from repro.core.tuner import SliceTuner, SliceTunerConfig
-from repro.slices.discovery import (
-    available_discovery_methods,
-    discovery_method_descriptions,
-    get_discovery_method,
-    is_discovery_method,
-)
-from repro.serve import TunerClient, TunerServer, TunerService
 from repro import telemetry
-from repro.monitor import (
-    HealthEvaluator,
-    alert_history,
-    available_rules,
-    get_rule,
-    watchdog,
-)
+from repro.datasets.registry import available_tasks
+from repro.engine.executor import available_executors
+from repro.experiments.config import SOURCE_KINDS
+from repro.experiments.scenarios import list_scenarios
 from repro.utils.exceptions import ConfigurationError, ReproError
 from repro.utils.tables import format_table
+
+# Only what building the parser needs is imported here; each handler imports
+# its own dependencies, so a query never pays for scipy or the tuner stack.
+if TYPE_CHECKING:
+    from repro.campaigns.campaign import Campaign
+    from repro.campaigns.store import SqliteStore
+    from repro.core.tuner import SliceTuner
+    from repro.engine.cache import ResultCache
+    from repro.engine.diskcache import SqliteResultCache
+    from repro.experiments.config import ExperimentConfig
 
 #: Default campaign store location for the ``campaign`` family of commands.
 DEFAULT_STORE = "campaigns.sqlite"
@@ -198,6 +161,9 @@ def _build_result_cache(args: argparse.Namespace) -> ResultCache:
     surviving :class:`~repro.engine.diskcache.SqliteResultCache`; without
     one, the classic per-process :class:`InMemoryResultCache`.
     """
+    from repro.engine.cache import InMemoryResultCache
+    from repro.engine.diskcache import SqliteResultCache, default_cache_path
+
     cache_dir = _resolve_cache_dir(args)
     if cache_dir is None:
         return InMemoryResultCache()
@@ -207,6 +173,8 @@ def _build_result_cache(args: argparse.Namespace) -> ResultCache:
 
 def _require_disk_cache(args: argparse.Namespace) -> SqliteResultCache:
     """The persistent cache the ``cache`` subcommands operate on."""
+    from repro.engine.diskcache import SqliteResultCache, default_cache_path
+
     cache_dir = _resolve_cache_dir(args)
     if cache_dir is None:
         raise ConfigurationError(
@@ -249,6 +217,8 @@ def _require_trace_dir(args: argparse.Namespace) -> str:
 
 def _registered_method(name: str) -> str:
     """argparse type for ``--methods``: any registered strategy name."""
+    from repro.core.registry import available_strategies, is_registered
+
     if not is_registered(name):
         raise argparse.ArgumentTypeError(
             f"unknown strategy {name!r}; run `python -m repro.cli strategies` "
@@ -259,6 +229,11 @@ def _registered_method(name: str) -> str:
 
 def _registered_discovery(name: str) -> str:
     """argparse type for ``--discover``: any registered discovery method."""
+    from repro.slices.discovery import (
+        available_discovery_methods,
+        is_discovery_method,
+    )
+
     if not is_discovery_method(name):
         raise argparse.ArgumentTypeError(
             f"unknown discovery method {name!r}; run `python -m repro.cli "
@@ -919,6 +894,8 @@ def _experiment_config(
     trials: int,
     extra: dict | None = None,
 ) -> ExperimentConfig:
+    from repro.experiments.config import ExperimentConfig
+
     return ExperimentConfig(
         dataset=args.dataset,
         scenario=args.scenario,
@@ -936,6 +913,9 @@ def _experiment_config(
 
 
 def _build_tuner(args: argparse.Namespace, lam: float = 1.0) -> SliceTuner:
+    from repro.core.tuner import SliceTuner, SliceTunerConfig
+    from repro.experiments.runner import prepare_instance
+
     config = _experiment_config(args, methods=("moderate",), budget=1.0, lam=lam, trials=1)
     sliced, source = prepare_instance(config, seed=args.seed)
     return SliceTuner(
@@ -978,6 +958,15 @@ def run_plan(args: argparse.Namespace) -> str:
 
 def run_discover(args: argparse.Namespace) -> str:
     """The ``discover`` subcommand: fit one discovery method, print the partition."""
+    from repro.engine.cache import InMemoryResultCache
+    from repro.engine.executor import SerialExecutor
+    from repro.experiments.runner import prepare_named_instance
+    from repro.slices.discovery import (
+        available_discovery_methods,
+        discovery_method_descriptions,
+        get_discovery_method,
+    )
+
     if args.list_methods:
         descriptions = discovery_method_descriptions()
         if args.quiet:
@@ -1060,6 +1049,14 @@ def run_discover(args: argparse.Namespace) -> str:
 
 def run_run(args: argparse.Namespace) -> str:
     """The ``run`` subcommand: one strategy end to end + the fulfillment log."""
+    from repro.core.tuner import SliceTuner, SliceTunerConfig
+    from repro.engine.executor import get_executor
+    from repro.experiments.reporting import (
+        cache_stats_table,
+        engine_cache_stats,
+    )
+    from repro.experiments.runner import discovery_for, prepare_named_instance
+
     if args.resume is not None:
         return _resume_campaigns(args, [args.resume])
     extra = {} if args.source is None else {"source": args.source}
@@ -1209,6 +1206,10 @@ def run_run(args: argparse.Namespace) -> str:
 
 def run_compare(args: argparse.Namespace) -> str:
     """The ``compare`` subcommand: Table-2/6-style method comparison."""
+    from repro.engine.executor import get_executor
+    from repro.experiments.reporting import allocations_table, methods_table
+    from repro.experiments.runner import compare_methods, prepare_instance
+
     config = _experiment_config(
         args,
         methods=tuple(args.methods),
@@ -1304,6 +1305,8 @@ def _combined_progress(quiet: bool):
 
 def _suite_summary(results, executor, quiet: bool) -> str:
     """Render ``[(display name, TuningResult), ...]`` plus the shared cache."""
+    from repro.experiments.reporting import cache_stats_table
+
     lines = [
         f"{name}: iterations={result.n_iterations} spent={result.spent:.2f} "
         f"acquired={sum(result.total_acquired.values())}"
@@ -1322,6 +1325,11 @@ def _suite_summary(results, executor, quiet: bool) -> str:
 
 def run_campaign_start(args: argparse.Namespace) -> str:
     """``campaign start``: one campaign from flags, or the builtin suite."""
+    from repro.campaigns.campaign import Campaign, CampaignSpec
+    from repro.campaigns.store import SqliteStore
+    from repro.engine.executor import SerialExecutor
+    from repro.experiments.runner import campaign_suite
+
     with SqliteStore(args.store) as store:
         if args.suite:
             result_cache = _build_result_cache(args)
@@ -1392,6 +1400,11 @@ def run_campaign_start(args: argparse.Namespace) -> str:
 
 
 def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
+    from repro.experiments.reporting import (
+        cache_stats_table,
+        engine_cache_stats,
+    )
+
     essential = (
         f"{campaign.campaign_id}: completed — iterations={result.n_iterations} "
         f"spent={result.spent:.2f} acquired={sum(result.total_acquired.values())}"
@@ -1410,6 +1423,9 @@ def _campaign_result_text(campaign: Campaign, result, quiet: bool) -> str:
 
 
 def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> str:
+    from repro.campaigns.scheduler import CampaignScheduler
+    from repro.campaigns.store import SqliteStore
+
     with SqliteStore(args.store) as store:
         result_cache = _build_result_cache(args)
         try:
@@ -1445,6 +1461,8 @@ def _resume_campaigns(args: argparse.Namespace, campaign_ids: list[str]) -> str:
 
 def run_campaign_resume(args: argparse.Namespace) -> str:
     """``campaign resume``: continue one campaign (or every unfinished one)."""
+    from repro.campaigns.store import RESUMABLE, SqliteStore
+
     if args.resume_all and args.campaign_id:
         raise ConfigurationError("pass either a campaign id or --all, not both")
     if args.resume_all:
@@ -1464,6 +1482,9 @@ def run_campaign_resume(args: argparse.Namespace) -> str:
 
 def run_campaign_list(args: argparse.Namespace) -> str:
     """``campaign list``: one row per stored campaign."""
+    from repro.campaigns.campaign import campaign_progress, campaign_summary
+    from repro.campaigns.store import SqliteStore
+
     with SqliteStore(args.store) as store:
         if args.json_output:
             # campaign_summary is the same serializer the daemon's
@@ -1507,6 +1528,9 @@ def run_campaign_list(args: argparse.Namespace) -> str:
 
 def run_campaign_show(args: argparse.Namespace) -> str:
     """``campaign show``: replay one campaign's event log."""
+    from repro.campaigns.campaign import campaign_progress, campaign_summary
+    from repro.campaigns.store import SqliteStore, replay_events
+
     with SqliteStore(args.store) as store:
         record = store.get_campaign(args.campaign_id)
         progress = campaign_progress(store, args.campaign_id)
@@ -1865,6 +1889,11 @@ def run_report(args: argparse.Namespace) -> str:
     view row-for-row against the pure-Python reference implementation and
     exits 2 on the first mismatch.
     """
+    from repro.analytics.reference import assert_consistent
+    from repro.analytics.refresh import Analytics
+    from repro.campaigns.store import SqliteStore
+    from repro.experiments.reporting import report_tables
+
     if not os.path.exists(args.store):
         raise ConfigurationError(
             f"no campaign store at {args.store!r}; start one with "
@@ -1909,6 +1938,8 @@ def run_report(args: argparse.Namespace) -> str:
 
 
 def _monitor_store(args: argparse.Namespace) -> SqliteStore:
+    from repro.campaigns.store import SqliteStore
+
     if not os.path.exists(args.store):
         raise ConfigurationError(
             f"no campaign store at {args.store!r}; start one with "
@@ -1986,6 +2017,8 @@ def run_monitor(args: argparse.Namespace) -> str:
     command = args.monitor_command
 
     if command == "rules":
+        from repro.monitor.rules import available_rules, get_rule
+
         rules = [get_rule(name).to_dict() for name in available_rules()]
         if args.json_output:
             return _json_output(
@@ -2017,6 +2050,8 @@ def run_monitor(args: argparse.Namespace) -> str:
         )
 
     if command == "alerts":
+        from repro.monitor.health import alert_history
+
         with _monitor_store(args) as store:
             if args.campaign_id is not None:
                 store.get_campaign(args.campaign_id)
@@ -2043,6 +2078,8 @@ def run_monitor(args: argparse.Namespace) -> str:
         )
 
     if command == "status":
+        from repro.monitor.health import HealthEvaluator
+
         with _monitor_store(args) as store:
             verdict = HealthEvaluator().health(store=store)
         if args.json_output:
@@ -2054,6 +2091,8 @@ def run_monitor(args: argparse.Namespace) -> str:
         return _health_table(verdict, title=f"Campaign health — {args.store}")
 
     if command == "watch":
+        from repro.serve.client import TunerClient
+
         client = TunerClient(args.url, timeout=args.timeout)
         interval = max(float(args.interval), 0.1)
         deadline = (
@@ -2098,6 +2137,8 @@ def run_monitor(args: argparse.Namespace) -> str:
             return output
 
     if command == "bench":
+        from repro.monitor.regression import watchdog
+
         try:
             with open(args.fresh, "r", encoding="utf-8") as handle:
                 fresh = json.load(handle)
@@ -2187,6 +2228,14 @@ def run_serve(args: argparse.Namespace) -> str:
     restarted daemon with ``--resume-all`` continues each one
     byte-identically.
     """
+    from repro.campaigns.store import SqliteStore
+    from repro.experiments.reporting import (
+        server_stats_table,
+        server_status_line,
+    )
+    from repro.serve.app import TunerService
+    from repro.serve.server import TunerServer
+
     store = SqliteStore(args.store)
     result_cache = _build_result_cache(args)
     app = TunerService(store=store, result_cache=result_cache)
@@ -2271,6 +2320,12 @@ def _remote_show_quiet(summary: dict) -> str:
 
 def run_remote(args: argparse.Namespace) -> str:
     """Dispatch for the ``remote`` family: thin clients over TunerClient."""
+    from repro.experiments.reporting import (
+        server_stats_table,
+        server_status_line,
+    )
+    from repro.serve.client import TunerClient
+
     client = TunerClient(args.url, timeout=args.timeout)
     command = args.remote_command
 
@@ -2443,6 +2498,12 @@ def run_remote(args: argparse.Namespace) -> str:
 
 def run_strategies(args: argparse.Namespace) -> str:
     """The ``strategies`` subcommand: list the acquisition-strategy registry."""
+    from repro.core.registry import (
+        available_strategies,
+        get_strategy,
+        strategy_descriptions,
+    )
+
     if args.json_output:
         return _json_output(
             "repro.strategies/1",
@@ -2479,6 +2540,8 @@ def run_strategies(args: argparse.Namespace) -> str:
 
 def run_sources(args: argparse.Namespace) -> str:
     """The ``sources`` subcommand: list the data-source provider registry."""
+    from repro.acquisition.providers import source_descriptions
+
     descriptions = source_descriptions()
     if args.json_output:
         return _json_output(

@@ -24,79 +24,48 @@ The pieces, bottom-up:
   of Figure 4: estimate curves, optimize, acquire, repeat, evaluate.
 """
 
-from repro.core.baselines import (
-    AllocationBaselineStrategy,
-    proportional_allocation,
-    uniform_allocation,
-    water_filling_allocation,
-)
-from repro.core.imbalance import get_change_ratio, imbalance_ratio
-from repro.core.iterative import IterativeAlgorithm, ScheduledIterativeStrategy
-from repro.core.oneshot import OneShotAlgorithm, OneShotStrategy
-from repro.core.optimizer import (
-    OptimizationResult,
-    optimize_allocation,
-    round_allocation,
-)
-from repro.core.plan import AcquisitionPlan, IterationRecord, TuningResult
-from repro.core.problem import SelectiveAcquisitionProblem
-from repro.core.registry import (
-    available_strategies,
-    get_strategy,
-    is_registered,
-    register_strategy,
-    strategy_descriptions,
-)
-from repro.core.session import (
-    FulfillmentEvent,
-    IterationEvent,
-    SessionEvent,
-    TunerSession,
-)
-from repro.core.strategies import (
-    AggressiveStrategy,
-    ConservativeStrategy,
-    LimitStrategy,
-    ModerateStrategy,
-    make_strategy,
-)
-from repro.core.strategy_api import AcquisitionStrategy, TunerState
-from repro.core.tuner import SliceTuner, SliceTunerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SelectiveAcquisitionProblem",
-    "OptimizationResult",
-    "optimize_allocation",
-    "round_allocation",
-    "uniform_allocation",
-    "water_filling_allocation",
-    "proportional_allocation",
-    "imbalance_ratio",
-    "get_change_ratio",
-    "LimitStrategy",
-    "ConservativeStrategy",
-    "ModerateStrategy",
-    "AggressiveStrategy",
-    "make_strategy",
-    "OneShotAlgorithm",
-    "IterativeAlgorithm",
-    "AcquisitionPlan",
-    "IterationRecord",
-    "TuningResult",
-    "AcquisitionStrategy",
-    "TunerState",
-    "OneShotStrategy",
-    "ScheduledIterativeStrategy",
-    "AllocationBaselineStrategy",
-    "register_strategy",
-    "get_strategy",
-    "available_strategies",
-    "strategy_descriptions",
-    "is_registered",
-    "TunerSession",
-    "FulfillmentEvent",
-    "IterationEvent",
-    "SessionEvent",
-    "SliceTuner",
-    "SliceTunerConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".baselines": (
+            "AllocationBaselineStrategy",
+            "proportional_allocation",
+            "uniform_allocation",
+            "water_filling_allocation",
+        ),
+        ".imbalance": ("get_change_ratio", "imbalance_ratio"),
+        ".iterative": ("IterativeAlgorithm", "ScheduledIterativeStrategy"),
+        ".oneshot": ("OneShotAlgorithm", "OneShotStrategy"),
+        ".optimizer": (
+            "OptimizationResult",
+            "optimize_allocation",
+            "round_allocation",
+        ),
+        ".plan": ("AcquisitionPlan", "IterationRecord", "TuningResult"),
+        ".problem": ("SelectiveAcquisitionProblem",),
+        ".registry": (
+            "available_strategies",
+            "get_strategy",
+            "is_registered",
+            "register_strategy",
+            "strategy_descriptions",
+        ),
+        ".session": (
+            "FulfillmentEvent",
+            "IterationEvent",
+            "SessionEvent",
+            "TunerSession",
+        ),
+        ".strategies": (
+            "AggressiveStrategy",
+            "ConservativeStrategy",
+            "LimitStrategy",
+            "ModerateStrategy",
+            "make_strategy",
+        ),
+        ".strategy_api": ("AcquisitionStrategy", "TunerState"),
+        ".tuner": ("SliceTuner", "SliceTunerConfig"),
+    },
+)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.exceptions import OptimizationError
 
@@ -46,6 +45,8 @@ def get_change_ratio(
     ``sizes = [10, 10]``, ``num = [10, 40]`` and ``target = 2`` the result is
     ``0.5``.
     """
+    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+
     sizes = np.asarray(sizes, dtype=np.float64).ravel()
     num_examples = np.asarray(num_examples, dtype=np.float64).ravel()
     if sizes.shape != num_examples.shape:

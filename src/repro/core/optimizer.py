@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.problem import SelectiveAcquisitionProblem
 from repro.utils.exceptions import OptimizationError
@@ -101,6 +100,8 @@ def solve_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
     :class:`~repro.utils.exceptions.OptimizationError` when the solver does
     not converge to a feasible point.
     """
+    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+
     n = problem.n_slices
     budget = problem.budget
     if budget <= 0:

@@ -17,34 +17,24 @@ subsets of the data.
 * :mod:`~repro.curves.reliability` — curve averaging and reliability scores.
 """
 
-from repro.curves.estimator import (
-    CurveEstimationConfig,
-    CurvePoint,
-    LearningCurveEstimator,
-)
-from repro.curves.fitting import fit_power_law, fit_power_law_with_floor
-from repro.curves.parametric import (
-    CURVE_FAMILIES,
-    CurveFamily,
-    fit_family,
-    select_best_family,
-)
-from repro.curves.power_law import FittedCurve, PowerLawCurve, PowerLawWithFloor
-from repro.curves.reliability import average_curves, curve_reliability
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PowerLawCurve",
-    "PowerLawWithFloor",
-    "FittedCurve",
-    "fit_power_law",
-    "fit_power_law_with_floor",
-    "CurveFamily",
-    "CURVE_FAMILIES",
-    "fit_family",
-    "select_best_family",
-    "CurvePoint",
-    "CurveEstimationConfig",
-    "LearningCurveEstimator",
-    "average_curves",
-    "curve_reliability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".estimator": (
+            "CurveEstimationConfig",
+            "CurvePoint",
+            "LearningCurveEstimator",
+        ),
+        ".fitting": ("fit_power_law", "fit_power_law_with_floor"),
+        ".parametric": (
+            "CURVE_FAMILIES",
+            "CurveFamily",
+            "fit_family",
+            "select_best_family",
+        ),
+        ".power_law": ("FittedCurve", "PowerLawCurve", "PowerLawWithFloor"),
+        ".reliability": ("average_curves", "curve_reliability"),
+    },
+)

@@ -12,7 +12,6 @@ which matters because the estimator calls it thousands of times.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.curves.power_law import PowerLawCurve, PowerLawWithFloor
 from repro.utils.exceptions import FittingError
@@ -106,6 +105,8 @@ def fit_power_law_with_floor(
     non-linear refinement fails to converge, the seed is returned with a zero
     floor so callers always get a usable curve.
     """
+    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+
     sizes, losses, weights = _validate_points(sizes, losses, weights)
     seed = fit_power_law(sizes, losses, weights)
 

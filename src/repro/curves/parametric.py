@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.curves.fitting import _validate_points, fit_power_law
 from repro.utils.exceptions import FittingError
@@ -132,6 +131,8 @@ def fit_family(
     Falls back to the robust log-space power-law fit when the requested
     family's non-linear optimization fails.
     """
+    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+
     if isinstance(family, str):
         try:
             family = CURVE_FAMILIES[family]

@@ -19,21 +19,16 @@ examples can be drawn per slice, which is how the reproduction "acquires"
 data in place of dataset search or Amazon Mechanical Turk.
 """
 
-from repro.datasets.adult import adult_like_task
-from repro.datasets.blueprints import SliceBlueprint, SyntheticTask
-from repro.datasets.faces import UTKFACE_COSTS, faces_like_task
-from repro.datasets.fashion import fashion_like_task
-from repro.datasets.mixed import mixed_like_task
-from repro.datasets.registry import available_tasks, build_task
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SliceBlueprint",
-    "SyntheticTask",
-    "fashion_like_task",
-    "mixed_like_task",
-    "faces_like_task",
-    "adult_like_task",
-    "UTKFACE_COSTS",
-    "available_tasks",
-    "build_task",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".adult": ("adult_like_task",),
+        ".blueprints": ("SliceBlueprint", "SyntheticTask"),
+        ".faces": ("UTKFACE_COSTS", "faces_like_task"),
+        ".fashion": ("fashion_like_task",),
+        ".mixed": ("mixed_like_task",),
+        ".registry": ("available_tasks", "build_task"),
+    },
+)

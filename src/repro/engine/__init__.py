@@ -28,51 +28,42 @@ that observation into infrastructure:
   stable name.
 """
 
-from repro.engine.cache import CacheStats, CurveCache, InMemoryResultCache, ResultCache
-from repro.engine.diskcache import SqliteCurveCache, SqliteResultCache, default_cache_path
-from repro.engine.executor import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    available_executors,
-    get_executor,
-)
-from repro.engine.factories import (
-    MLPFactory,
-    available_model_factories,
-    describe_factory,
-    get_model_factory,
-    register_model_factory,
-)
-from repro.engine.job import (
-    JobResult,
-    TrainingJob,
-    fingerprint_dataset,
-    run_training_job,
-    stable_seed,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "CurveCache",
-    "Executor",
-    "InMemoryResultCache",
-    "JobResult",
-    "MLPFactory",
-    "ProcessPoolExecutor",
-    "ResultCache",
-    "SerialExecutor",
-    "SqliteCurveCache",
-    "SqliteResultCache",
-    "TrainingJob",
-    "available_executors",
-    "default_cache_path",
-    "available_model_factories",
-    "describe_factory",
-    "fingerprint_dataset",
-    "get_executor",
-    "get_model_factory",
-    "register_model_factory",
-    "run_training_job",
-    "stable_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".cache": (
+            "CacheStats",
+            "CurveCache",
+            "InMemoryResultCache",
+            "ResultCache",
+        ),
+        ".diskcache": (
+            "SqliteCurveCache",
+            "SqliteResultCache",
+            "default_cache_path",
+        ),
+        ".executor": (
+            "Executor",
+            "ProcessPoolExecutor",
+            "SerialExecutor",
+            "available_executors",
+            "get_executor",
+        ),
+        ".factories": (
+            "MLPFactory",
+            "available_model_factories",
+            "describe_factory",
+            "get_model_factory",
+            "register_model_factory",
+        ),
+        ".job": (
+            "JobResult",
+            "TrainingJob",
+            "fingerprint_dataset",
+            "run_training_job",
+            "stable_seed",
+        ),
+    },
+)

@@ -17,6 +17,11 @@ from repro.ml.train import TrainingConfig
 from repro.utils.exceptions import ConfigurationError
 
 
+#: Source kinds :func:`~repro.experiments.runner.build_sources` understands
+#: (CLI ``--source`` choices); re-exported by :mod:`repro.experiments.runner`.
+SOURCE_KINDS = ("generator", "pool", "mixed", "flaky", "crowdsourcing")
+
+
 def fast_training_config(epochs: int = 40, batch_size: int = 32) -> TrainingConfig:
     """A training configuration tuned for the benchmark harness.
 

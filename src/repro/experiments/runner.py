@@ -42,7 +42,7 @@ from repro.datasets.registry import build_task
 from repro.engine.cache import InMemoryResultCache, ResultCache
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.factories import MLPFactory
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import SOURCE_KINDS, ExperimentConfig
 from repro.experiments.scenarios import build_scenario
 from repro.slices.sliced_dataset import SlicedDataset
 from repro.utils.exceptions import ConfigurationError
@@ -114,10 +114,6 @@ def _model_factory_for(config: ExperimentConfig) -> ModelFactory:
         # MLP can still fan out across process-pool workers.
         return MLPFactory(hidden_sizes=hidden, random_state=0)
     raise ConfigurationError(f"unknown model kind {model_kind!r}")
-
-
-#: Source kinds :func:`build_sources` understands (CLI ``--source`` choices).
-SOURCE_KINDS = ("generator", "pool", "mixed", "flaky", "crowdsourcing")
 
 
 def build_sources(

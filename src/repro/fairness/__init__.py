@@ -8,21 +8,18 @@ difference) are also provided for context, although Slice Tuner itself only
 optimizes equalized error rates.
 """
 
-from repro.fairness.metrics import (
-    average_equalized_error_rates,
-    demographic_parity_difference,
-    equalized_odds_difference,
-    max_equalized_error_rates,
-    unfairness,
-)
-from repro.fairness.report import FairnessReport, evaluate_fairness
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "unfairness",
-    "average_equalized_error_rates",
-    "max_equalized_error_rates",
-    "demographic_parity_difference",
-    "equalized_odds_difference",
-    "FairnessReport",
-    "evaluate_fairness",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".metrics": (
+            "average_equalized_error_rates",
+            "demographic_parity_difference",
+            "equalized_odds_difference",
+            "max_equalized_error_rates",
+            "unfairness",
+        ),
+        ".report": ("FairnessReport", "evaluate_fairness"),
+    },
+)

@@ -20,56 +20,38 @@ it never touches tuner state, so monitored and unmonitored runs produce
 byte-identical tuning results.
 """
 
-from repro.monitor.health import (
-    STATES,
-    Alert,
-    CampaignMonitor,
-    HealthEvaluator,
-    alert_history,
-    worst_status,
-)
-from repro.monitor.regression import (
-    Regression,
-    compare_numbers,
-    load_benchmarks,
-    watchdog,
-)
-from repro.monitor.rules import (
-    COMPONENTS,
-    SEVERITIES,
-    AlertRule,
-    available_rules,
-    campaign_rules,
-    get_rule,
-    is_rule,
-    register_rule,
-    rule_descriptions,
-    service_rules,
-    unregister_rule,
-)
-from repro.monitor.windows import RollingWindow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "COMPONENTS",
-    "SEVERITIES",
-    "STATES",
-    "Alert",
-    "AlertRule",
-    "CampaignMonitor",
-    "HealthEvaluator",
-    "Regression",
-    "RollingWindow",
-    "alert_history",
-    "available_rules",
-    "campaign_rules",
-    "compare_numbers",
-    "get_rule",
-    "is_rule",
-    "load_benchmarks",
-    "register_rule",
-    "rule_descriptions",
-    "service_rules",
-    "unregister_rule",
-    "watchdog",
-    "worst_status",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".health": (
+            "STATES",
+            "Alert",
+            "CampaignMonitor",
+            "HealthEvaluator",
+            "alert_history",
+            "worst_status",
+        ),
+        ".regression": (
+            "Regression",
+            "compare_numbers",
+            "load_benchmarks",
+            "watchdog",
+        ),
+        ".rules": (
+            "COMPONENTS",
+            "SEVERITIES",
+            "AlertRule",
+            "available_rules",
+            "campaign_rules",
+            "get_rule",
+            "is_rule",
+            "register_rule",
+            "rule_descriptions",
+            "service_rules",
+            "unregister_rule",
+        ),
+        ".windows": ("RollingWindow",),
+    },
+)

@@ -19,16 +19,14 @@ pieces on top of the campaign subsystem:
   client the CLI ``remote`` commands and the tests drive the daemon with.
 """
 
-from repro.serve.app import ServerStats, TunerService
-from repro.serve.client import TunerClient
-from repro.serve.server import TunerServer
-from repro.serve.stream import format_sse_event, parse_sse_stream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ServerStats",
-    "TunerClient",
-    "TunerServer",
-    "TunerService",
-    "format_sse_event",
-    "parse_sse_stream",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".app": ("ServerStats", "TunerService"),
+        ".client": ("TunerClient",),
+        ".server": ("TunerServer",),
+        ".stream": ("format_sse_event", "parse_sse_stream"),
+    },
+)

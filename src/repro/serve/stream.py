@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, IO, Iterator
 
-from repro.serve.app import TERMINAL_STATUSES
 from repro.telemetry import get_registry
 from repro.utils.exceptions import ServeError
 
@@ -79,6 +78,9 @@ def stream_campaign_events(
     service starts draining.  ``after`` is the client's cursor (0 streams
     the log from the beginning).
     """
+    # Deferred: TunerClient imports this module, and app pulls in the scheduler.
+    from repro.serve.app import TERMINAL_STATUSES
+
     app.store.get_campaign(campaign_id)  # 404 before the stream starts
     cursor = int(after)
     last_tick_seq = 0

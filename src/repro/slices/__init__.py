@@ -13,41 +13,28 @@ behaviour through the pluggable :mod:`~repro.slices.discovery` registry
 methods live in :mod:`~repro.slices.methods`.
 """
 
-from repro.slices.auto_slicer import AutoSlicer, SliceCandidate
-from repro.slices.discovery import (
-    SliceDiscoveryMethod,
-    available_discovery_methods,
-    discovery_method_descriptions,
-    get_discovery_method,
-    is_discovery_method,
-    register_discovery_method,
-    unregister_discovery_method,
-)
-from repro.slices.predicates import FeaturePredicate, partition_by_predicates
-from repro.slices.slice import Slice, SliceSpec
-from repro.slices.sliced_dataset import SlicedDataset
-from repro.slices.validation import (
-    check_discovered_partition,
-    check_partition,
-    imbalance_ratio,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Slice",
-    "SliceSpec",
-    "SlicedDataset",
-    "FeaturePredicate",
-    "partition_by_predicates",
-    "AutoSlicer",
-    "SliceCandidate",
-    "SliceDiscoveryMethod",
-    "register_discovery_method",
-    "unregister_discovery_method",
-    "get_discovery_method",
-    "available_discovery_methods",
-    "discovery_method_descriptions",
-    "is_discovery_method",
-    "check_partition",
-    "check_discovered_partition",
-    "imbalance_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".auto_slicer": ("AutoSlicer", "SliceCandidate"),
+        ".discovery": (
+            "SliceDiscoveryMethod",
+            "available_discovery_methods",
+            "discovery_method_descriptions",
+            "get_discovery_method",
+            "is_discovery_method",
+            "register_discovery_method",
+            "unregister_discovery_method",
+        ),
+        ".predicates": ("FeaturePredicate", "partition_by_predicates"),
+        ".slice": ("Slice", "SliceSpec"),
+        ".sliced_dataset": ("SlicedDataset",),
+        ".validation": (
+            "check_discovered_partition",
+            "check_partition",
+            "imbalance_ratio",
+        ),
+    },
+)

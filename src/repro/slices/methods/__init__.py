@@ -1,9 +1,8 @@
 """Built-in slice discovery methods.
 
-Importing this package registers every built-in method with the registry in
-:mod:`repro.slices.discovery` (the registry also imports these modules
-lazily on first lookup, so ``get_discovery_method("kmeans")`` works without
-an explicit import).
+Importing a method's module registers it with the registry in
+:mod:`repro.slices.discovery`, which imports all three on its first lookup,
+so ``get_discovery_method("kmeans")`` works without an explicit import.
 
 * :mod:`~repro.slices.methods.stump` — ``"stump"``: error-driven
   feature-threshold rule induction.
@@ -13,12 +12,13 @@ an explicit import).
   :class:`~repro.slices.auto_slicer.AutoSlicer` on the discovery protocol.
 """
 
-from repro.slices.methods.auto import AutoSliceDiscovery
-from repro.slices.methods.kmeans import ErrorKMeansDiscovery
-from repro.slices.methods.stump import ErrorStumpDiscovery
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AutoSliceDiscovery",
-    "ErrorKMeansDiscovery",
-    "ErrorStumpDiscovery",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".auto": ("AutoSliceDiscovery",),
+        ".kmeans": ("ErrorKMeansDiscovery",),
+        ".stump": ("ErrorStumpDiscovery",),
+    },
+)

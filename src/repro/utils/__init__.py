@@ -5,39 +5,27 @@ subpackage (ml substrate, curves, core optimizer, experiments) can rely on
 them without circular imports.
 """
 
-from repro.utils.exceptions import (
-    BudgetError,
-    ConfigurationError,
-    FittingError,
-    OptimizationError,
-    ReproError,
-    SlicingError,
-)
-from repro.utils.rng import RandomState, as_generator, spawn_generators
-from repro.utils.tables import format_series, format_table
-from repro.utils.validation import (
-    check_in_range,
-    check_length_match,
-    check_non_negative,
-    check_positive,
-    check_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "SlicingError",
-    "FittingError",
-    "OptimizationError",
-    "BudgetError",
-    "RandomState",
-    "as_generator",
-    "spawn_generators",
-    "format_table",
-    "format_series",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_in_range",
-    "check_length_match",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".exceptions": (
+            "BudgetError",
+            "ConfigurationError",
+            "FittingError",
+            "OptimizationError",
+            "ReproError",
+            "SlicingError",
+        ),
+        ".rng": ("RandomState", "as_generator", "spawn_generators"),
+        ".tables": ("format_series", "format_table"),
+        ".validation": (
+            "check_in_range",
+            "check_length_match",
+            "check_non_negative",
+            "check_positive",
+            "check_probability",
+        ),
+    },
+)
