@@ -174,14 +174,9 @@ _exported, __getattr__, __dir__ = lazy_exports(
             "PowerLawWithFloor",
         ),
         ".curves.fitting": ("fit_power_law",),
+        ".engine.backends": ("available_executors", "get_executor"),
         ".engine.cache": ("CurveCache", "InMemoryResultCache"),
-        ".engine.executor": (
-            "Executor",
-            "ProcessPoolExecutor",
-            "SerialExecutor",
-            "available_executors",
-            "get_executor",
-        ),
+        ".engine.executor": ("Executor", "ProcessPoolExecutor", "SerialExecutor"),
         ".engine.factories": ("MLPFactory",),
         ".engine.diskcache": ("SqliteResultCache",),
         ".engine.job": ("TrainingJob",),

@@ -1,6 +1,6 @@
 """Durable campaigns: persistent, resumable, multiplexed tuning runs.
 
-The campaign subsystem adds three layers on top of the streaming session
+The campaign subsystem adds these modules on top of the streaming session
 API:
 
 * :mod:`repro.campaigns.store` — :class:`CampaignStore` backends
@@ -10,6 +10,9 @@ API:
   :class:`~repro.core.session.TunerSession` to a store with crash-safe
   ``resume()`` (byte-identical to an uninterrupted run) and idempotent
   re-run detection via spec content fingerprints;
+* :mod:`repro.campaigns.progress` — :func:`campaign_progress` and
+  :func:`campaign_summary`, replaying a campaign's progress from the event
+  log without loading the tuner stack;
 * :mod:`repro.campaigns.scheduler` — :class:`CampaignScheduler`,
   multiplexing N concurrent campaigns over one shared engine executor with
   budget-fair round-robin inside priority lanes.
@@ -20,14 +23,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".campaign": (
-            "Campaign",
-            "CampaignProgress",
-            "CampaignSpec",
-            "build_campaign_tuner",
-            "campaign_progress",
-            "campaign_summary",
-        ),
+        ".campaign": ("Campaign", "CampaignSpec", "build_campaign_tuner"),
+        ".progress": ("CampaignProgress", "campaign_progress", "campaign_summary"),
         ".scheduler": ("CampaignScheduler", "SchedulerTick"),
         ".store": (
             "COMPLETED",

@@ -14,17 +14,22 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine.cache import memoized_solve
 from repro.utils.exceptions import OptimizationError
 
 from repro.slices.validation import imbalance_ratio  # re-exported
 
 __all__ = ["imbalance_ratio", "get_change_ratio"]
 
+#: ``brentq``'s fixed options; part of every memoized root's key.
+BRENTQ_OPTIONS = {"xtol": 1e-10}
+
 
 def get_change_ratio(
     sizes: Sequence[float] | np.ndarray,
     num_examples: Sequence[float] | np.ndarray,
     target_ratio: float,
+    cache: object | None = None,
 ) -> float:
     """Find ``x`` in (0, 1] with ``imbalance_ratio(sizes + x*num) = target_ratio``.
 
@@ -38,6 +43,10 @@ def get_change_ratio(
         The imbalance ratio the scaled allocation must land on; it must lie
         between the current ratio and the ratio after the full allocation
         (this is guaranteed by Algorithm 1's construction).
+    cache:
+        A result cache; when it has a solve tier (see
+        :func:`~repro.engine.cache.memoized_solve`) the ``brentq`` root is
+        served from disk for inputs solved before, without importing scipy.
 
     Returns
     -------
@@ -45,8 +54,6 @@ def get_change_ratio(
     ``sizes = [10, 10]``, ``num = [10, 40]`` and ``target = 2`` the result is
     ``0.5``.
     """
-    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
-
     sizes = np.asarray(sizes, dtype=np.float64).ravel()
     num_examples = np.asarray(num_examples, dtype=np.float64).ravel()
     if sizes.shape != num_examples.shape:
@@ -76,6 +83,15 @@ def get_change_ratio(
             f"target ratio {target_ratio} is not bracketed by the current ratio "
             f"{start:.4f} and the full-allocation ratio {end:.4f}"
         )
-    return float(
-        optimize.brentq(lambda x: ratio_at(x) - target_ratio, 0.0, 1.0, xtol=1e-10)
-    )
+
+    def root() -> float:
+        from scipy import optimize  # deferred: ~0.3 s to import (README, Start-up)
+
+        return float(
+            optimize.brentq(
+                lambda x: ratio_at(x) - target_ratio, 0.0, 1.0, **BRENTQ_OPTIONS
+            )
+        )
+
+    inputs = (sizes, num_examples, target_ratio)
+    return memoized_solve(cache, "brentq", BRENTQ_OPTIONS, inputs, root)

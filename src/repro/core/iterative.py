@@ -46,13 +46,15 @@ def cap_change_by_limit(
     requested: dict[str, int],
     current_ratio: float,
     limit: float,
+    cache: object | None = None,
 ) -> tuple[dict[str, int], float]:
     """Cap ``requested`` so the imbalance ratio changes by at most ``limit``.
 
     Returns the (possibly scaled-down) integer allocation and the imbalance
     ratio it would produce.  This is the ``GetChangeRatio`` step of
     Algorithm 1, shared by :class:`IterativeAlgorithm` and
-    :class:`ScheduledIterativeStrategy`.
+    :class:`ScheduledIterativeStrategy`; ``cache`` is passed through to
+    :func:`~repro.core.imbalance.get_change_ratio`.
     """
     sizes = sizes.astype(np.float64)
     num = np.array([requested[name] for name in order], dtype=np.float64)
@@ -61,7 +63,7 @@ def cap_change_by_limit(
         return dict(requested), float(after_ratio)
     target = current_ratio + limit * np.sign(after_ratio - current_ratio)
     try:
-        change_ratio = get_change_ratio(sizes, num, target)
+        change_ratio = get_change_ratio(sizes, num, target, cache=cache)
     except OptimizationError:
         change_ratio = 1.0
     num = np.floor(change_ratio * num)
@@ -319,6 +321,7 @@ class ScheduledIterativeStrategy(AcquisitionStrategy):
             dict(plan.counts),
             self._current_ratio,
             self._limit,
+            cache=None if state.executor is None else state.executor.cache,
         )
 
         costs = np.array([state.cost_model.cost(name) for name in order])

@@ -82,7 +82,9 @@ class OneShotAlgorithm:
             lam=self.lam,
             order=sliced.names,
         )
-        result = optimize_allocation(problem)
+        # The estimator's executor holds the run's result cache; a persistent
+        # one memoizes the SLSQP solve.
+        result = optimize_allocation(problem, cache=self.estimator.executor.cache)
         plan = AcquisitionPlan(
             counts=result.as_dict(problem.slice_names),
             expected_cost=result.spent,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import SelectiveAcquisitionProblem
+from repro.engine.cache import memoized_solve
 from repro.utils.exceptions import OptimizationError
 
 
@@ -93,19 +94,37 @@ def _objective_and_gradient(
     return objective, gradient
 
 
-def solve_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
+#: SLSQP's fixed options; part of every memoized solve's key.
+SLSQP_OPTIONS = {"maxiter": 300, "ftol": 1e-9}
+
+
+def solve_slsqp(
+    problem: SelectiveAcquisitionProblem, cache: object | None = None
+) -> np.ndarray:
     """Solve the continuous relaxation with SciPy's SLSQP.
 
     Returns the continuous per-slice allocation; raises
     :class:`~repro.utils.exceptions.OptimizationError` when the solver does
-    not converge to a feasible point.
+    not converge to a feasible point.  With a persistent result ``cache``
+    (one that has a solve tier, see
+    :func:`~repro.engine.cache.memoized_solve`) both outcomes are served
+    from disk when the problem was solved before, without importing scipy.
     """
-    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
-
     n = problem.n_slices
     budget = problem.budget
     if budget <= 0:
         return np.zeros(n)
+    inputs = (problem.sizes, problem.costs, problem.b, problem.a, budget, problem.lam)
+    return memoized_solve(
+        cache, "slsqp", SLSQP_OPTIONS, inputs, lambda: _run_slsqp(problem)
+    )
+
+
+def _run_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
+    from scipy import optimize  # deferred: ~0.3 s to import (README, Start-up)
+
+    n = problem.n_slices
+    budget = problem.budget
     average_loss = problem.average_current_loss()
     objective, gradient = _objective_and_gradient(problem, average_loss)
 
@@ -128,7 +147,7 @@ def solve_slsqp(problem: SelectiveAcquisitionProblem) -> np.ndarray:
         bounds=bounds,
         constraints=constraints,
         method="SLSQP",
-        options={"maxiter": 300, "ftol": 1e-9},
+        options=dict(SLSQP_OPTIONS),
     )
     if not result.success:
         raise OptimizationError(f"SLSQP failed: {result.message}")
@@ -226,12 +245,15 @@ def round_allocation(
 # public entry point
 # ---------------------------------------------------------------------------
 
-def optimize_allocation(problem: SelectiveAcquisitionProblem) -> OptimizationResult:
+def optimize_allocation(
+    problem: SelectiveAcquisitionProblem, cache: object | None = None
+) -> OptimizationResult:
     """Solve the selective data acquisition problem.
 
-    Runs SLSQP on the continuous relaxation, falls back to the greedy solver
-    if SLSQP fails, and rounds the result to an integer allocation that
-    respects the budget.
+    Runs SLSQP on the continuous relaxation (memoized in ``cache``'s solve
+    tier, see :func:`solve_slsqp`), falls back to the greedy solver if SLSQP
+    fails, and rounds the result to an integer allocation that respects the
+    budget.
     """
     if problem.budget <= 0:
         zeros = np.zeros(problem.n_slices)
@@ -244,7 +266,7 @@ def optimize_allocation(problem: SelectiveAcquisitionProblem) -> OptimizationRes
         )
     solver = "slsqp"
     try:
-        continuous = solve_slsqp(problem)
+        continuous = solve_slsqp(problem, cache)
     except OptimizationError:
         continuous = solve_greedy(problem)
         solver = "greedy"

@@ -105,7 +105,7 @@ def fit_power_law_with_floor(
     non-linear refinement fails to converge, the seed is returned with a zero
     floor so callers always get a usable curve.
     """
-    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+    from scipy import optimize  # deferred: ~0.3 s to import (README, Start-up)
 
     sizes, losses, weights = _validate_points(sizes, losses, weights)
     seed = fit_power_law(sizes, losses, weights)

@@ -131,7 +131,7 @@ def fit_family(
     Falls back to the robust log-space power-law fit when the requested
     family's non-linear optimization fails.
     """
-    from scipy import optimize  # deferred: costs ~0.5 s at import (README, Start-up)
+    from scipy import optimize  # deferred: ~0.3 s to import (README, Start-up)
 
     if isinstance(family, str):
         try:

@@ -8,20 +8,33 @@ registering a builder.
 
 from __future__ import annotations
 
-from typing import Callable
+import importlib
+from typing import TYPE_CHECKING, Callable
 
-from repro.datasets.adult import adult_like_task
-from repro.datasets.blueprints import SyntheticTask
-from repro.datasets.faces import faces_like_task
-from repro.datasets.fashion import fashion_like_task
-from repro.datasets.mixed import mixed_like_task
 from repro.utils.exceptions import ConfigurationError
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datasets.blueprints import SyntheticTask
+
+
+def _builtin(module: str, name: str) -> Callable[..., SyntheticTask]:
+    """The builder ``module.name``, imported on its first call.
+
+    Listing the task names (the CLI's ``--dataset`` choices) then loads no
+    generator module, and so no numpy.
+    """
+
+    def build(**kwargs: object) -> SyntheticTask:
+        return getattr(importlib.import_module(module), name)(**kwargs)
+
+    return build
+
+
 _REGISTRY: dict[str, Callable[..., SyntheticTask]] = {
-    "fashion_like": fashion_like_task,
-    "mixed_like": mixed_like_task,
-    "faces_like": faces_like_task,
-    "adult_like": adult_like_task,
+    "fashion_like": _builtin("repro.datasets.fashion", "fashion_like_task"),
+    "mixed_like": _builtin("repro.datasets.mixed", "mixed_like_task"),
+    "faces_like": _builtin("repro.datasets.faces", "faces_like_task"),
+    "adult_like": _builtin("repro.datasets.adult", "adult_like_task"),
 }
 
 

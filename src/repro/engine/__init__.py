@@ -14,8 +14,8 @@ that observation into infrastructure:
   powering incremental curve re-estimation.
 * :mod:`repro.engine.diskcache` — the persistent tier:
   :class:`~repro.engine.diskcache.SqliteResultCache` (WAL-mode SQLite behind
-  a small in-process LRU front) shares content-addressed results across
-  processes and restarts, and
+  a small in-process LRU front) shares content-addressed results and the
+  allocator's solver outcomes across processes and restarts, and
   :class:`~repro.engine.diskcache.SqliteCurveCache` does the same for
   fitted curves.
 * :mod:`repro.engine.executor` — the :class:`~repro.engine.executor.Executor`
@@ -23,6 +23,7 @@ that observation into infrastructure:
   :class:`~repro.engine.executor.ProcessPoolExecutor` backends.  Seeds are
   spawned up-front from the parent RNG, so the two backends produce
   byte-identical results and parallelism is purely a deployment choice.
+  :mod:`repro.engine.backends` lists and builds them by name.
 * :mod:`repro.engine.factories` — a registry of named, picklable model
   factories so jobs can cross process boundaries and be fingerprinted by a
   stable name.
@@ -33,6 +34,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
+        ".backends": ("available_executors", "get_executor"),
         ".cache": (
             "CacheStats",
             "CurveCache",
@@ -48,8 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "Executor",
             "ProcessPoolExecutor",
             "SerialExecutor",
-            "available_executors",
-            "get_executor",
         ),
         ".factories": (
             "MLPFactory",

@@ -11,6 +11,13 @@ Two caches live here:
   slice's training-pool fingerprint, powering the estimator's incremental
   mode: only slices whose pools changed since the last estimate are
   re-measured and re-fitted.
+
+:func:`memoized_solve` routes a deterministic solver call through the solve
+tier of a persistent cache when the caller's cache has one.
+
+The module imports no numpy: :mod:`repro.engine.job` is imported only where a
+dataset is fingerprinted, so ``cache stats`` and the other read-only
+commands stay light.
 """
 
 from __future__ import annotations
@@ -21,17 +28,20 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     Mapping,
     Protocol,
+    Sequence,
+    TypeVar,
     runtime_checkable,
 )
 
-from repro.engine.job import JobResult, fingerprint_dataset
 from repro.utils.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.curves.power_law import FittedCurve
+    from repro.engine.job import JobResult
     from repro.slices.sliced_dataset import SlicedDataset
 
 
@@ -155,8 +165,30 @@ class InMemoryResultCache:
         """Nothing to release; present for parity with disk-backed caches."""
 
 
+T = TypeVar("T")
+
+
+def memoized_solve(
+    cache: object,
+    kind: str,
+    options: Mapping[str, Any],
+    inputs: Sequence[Any],
+    compute: Callable[[], T],
+) -> T:
+    """``compute()``, through ``cache``'s solve tier when it has one.
+
+    Only :class:`~repro.engine.diskcache.SqliteResultCache` has a solve tier
+    (:meth:`~repro.engine.diskcache.SqliteResultCache.solve`); with an
+    in-memory cache, or none, the solver simply runs.
+    """
+    solve = getattr(cache, "solve", None)
+    return compute() if solve is None else solve(kind, options, inputs, compute)
+
+
 def pool_fingerprints(sliced: "SlicedDataset") -> dict[str, str]:
     """Per-slice content hashes of a dataset's current training pools."""
+    from repro.engine.job import fingerprint_dataset
+
     return {
         name: fingerprint_dataset(sliced[name].train) for name in sliced.names
     }

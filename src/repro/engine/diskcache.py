@@ -1,39 +1,51 @@
-"""Persistent, shared result/curve cache on stdlib sqlite3 (WAL mode).
+"""Persistent, shared result/curve/solve cache on stdlib sqlite3 (WAL mode).
 
 The in-memory caches of :mod:`repro.engine.cache` die with the process, so
 every :class:`~repro.engine.executor.ProcessPoolExecutor` worker, every
-daemon restart, and every resumed campaign re-pays for trainings the system
-has already performed.  This module makes the cache a durable, content-
-addressed materialized view over ``(data, config, seed) -> result`` — the
-incremental-view-maintenance stance of the rest of the repo: when nothing a
-result depends on changed, serve the old result, across processes and
-restarts.
+daemon restart, and every resumed campaign re-pays for work the system has
+already performed.  This module makes the cache a durable, content-addressed
+materialized view — the incremental-view-maintenance stance of the rest of
+the repo: when nothing an answer depends on changed, serve the old answer,
+across processes and restarts.
 
-* :class:`SqliteResultCache` implements the
-  :class:`~repro.engine.cache.ResultCache` protocol on a SQLite file in WAL
-  mode with the same per-append commit discipline as
-  :class:`repro.campaigns.store.SqliteStore`: every write is its own
-  committed transaction, so a ``kill -9`` mid-``put`` can lose at most the
-  entry being written, never a committed one.  A small in-process LRU front
-  keeps hot lookups at dictionary speed while the disk tier is shared by
-  serial runs, every pool worker, and restarted daemons.
-* :class:`SqliteCurveCache` extends :class:`~repro.engine.cache.CurveCache`
-  with a disk tier in the same file: fitted curves are keyed by
-  ``(estimation context, slice name, full-dataset fingerprint)``, so a
+One :class:`SqliteResultCache` file holds three disk tiers, one table each,
+all written and read through the same keyed-blob path:
+
+* **results** — training results keyed by job fingerprint
+  (``(data, config, seed) -> JobResult``), implementing the
+  :class:`~repro.engine.cache.ResultCache` protocol.  A small in-process
+  LRU front keeps hot lookups at dictionary speed.
+* **curves** — fitted learning curves keyed by ``(estimation context,
+  slice name, full-dataset fingerprint)`` (:class:`SqliteCurveCache`), so a
   restarted process serves yesterday's curves for an unchanged dataset
   state instead of re-measuring them.
+* **solves** — the outcomes of the allocator's scipy-backed steps (the SLSQP
+  allocation, including its failure, and the ``brentq`` change ratio),
+  keyed by :func:`solve_key` over the solver options and the exact bytes
+  of every input (:meth:`SqliteResultCache.solve`).  A repeated run over a
+  filled cache then never imports scipy.
+
+Every write is its own committed transaction, with the same per-append
+commit discipline as :class:`repro.campaigns.store.SqliteStore`, so a
+``kill -9`` mid-write can lose at most the entry being written, never a
+committed one.
 
 Determinism is the product: entries are versioned pickles
-(:data:`RESULT_SCHEMA` / :data:`CURVE_SCHEMA`), NumPy arrays round-trip
-bitwise through pickle, and a corrupted or version-mismatched blob degrades
-to a cache *miss* — never an error, never a wrong answer.  (Like the
-campaign store's snapshots, blobs are pickles: only point a cache at files
-you trust.)
+(:data:`RESULT_SCHEMA` / :data:`CURVE_SCHEMA` / :data:`SOLVE_SCHEMA`), NumPy
+arrays round-trip bitwise through pickle, and a blob that fails to decode or
+carries another schema tag is deleted and degrades to a cache *miss* — never
+an error, never a wrong answer.  (Like the campaign store's snapshots, blobs
+are pickles: only point a cache at files you trust.)
 
-Hit/miss counters live in the database too (one row per tier), so
-:attr:`SqliteResultCache.stats` aggregates honestly across every process
-that ever touched the file — including pool workers, whose lookups the
-parent process cannot see.
+**Staleness boundary.**  Keys address the *inputs* of a computation, not the
+code or the libraries that computed it: like job fingerprints, solve keys do
+not include the numpy or scipy versions.  After upgrading either (or
+changing a solver), run ``cache clear`` so old answers are not served.
+
+Hit/miss/eviction counters live in the database too (one row per tier), so
+:meth:`SqliteResultCache.tier_stats` aggregates honestly across every
+process that ever touched the file — including pool workers, whose lookups
+the parent process cannot see.
 """
 
 from __future__ import annotations
@@ -49,14 +61,14 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.engine.cache import CacheStats, CurveCache, _CurveEntry, pool_fingerprints
-from repro.engine.job import JobResult, TrainingJob, run_training_job
-from repro.utils.exceptions import ConfigurationError
+from repro.utils.exceptions import ConfigurationError, OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.curves.power_law import FittedCurve
+    from repro.engine.job import JobResult, TrainingJob
     from repro.slices.sliced_dataset import SlicedDataset
 
 #: Version tag stored with every serialized training result.  Bump it when
@@ -67,28 +79,36 @@ RESULT_SCHEMA = "repro.jobresult/1"
 #: Version tag stored with every serialized fitted curve.
 CURVE_SCHEMA = "repro.curve/1"
 
+#: Version tag stored with every memoized solver outcome.
+SOLVE_SCHEMA = "repro.solve/1"
+
 #: Default file name inside a ``--cache-dir`` / ``REPRO_CACHE_DIR`` directory.
 CACHE_FILENAME = "cache.sqlite"
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS results (
-    fingerprint TEXT PRIMARY KEY,
-    schema      TEXT NOT NULL,
-    payload     BLOB NOT NULL,
-    size        INTEGER NOT NULL,
-    created_at  REAL NOT NULL,
-    last_access REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_results_last_access ON results(last_access);
-CREATE TABLE IF NOT EXISTS curves (
-    curve_key   TEXT PRIMARY KEY,
-    schema      TEXT NOT NULL,
-    payload     BLOB NOT NULL,
-    size        INTEGER NOT NULL,
-    created_at  REAL NOT NULL,
-    last_access REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_curves_last_access ON curves(last_access);
+#: The keyed-blob tables: table name -> (key column, schema tag).
+_TABLES: dict[str, tuple[str, str]] = {
+    "results": ("fingerprint", RESULT_SCHEMA),
+    "curves": ("curve_key", CURVE_SCHEMA),
+    "solves": ("solve_key", SOLVE_SCHEMA),
+}
+
+#: Counter rows maintained in the database, in display order.
+TIERS = ("memory", *_TABLES)
+
+# ``IF NOT EXISTS`` throughout: a file written before a table existed gains
+# it on open and keeps serving its other tables.
+_SCHEMA = "".join(
+    f"CREATE TABLE IF NOT EXISTS {table} (\n"
+    f"    {key} TEXT PRIMARY KEY,\n"
+    "    schema      TEXT NOT NULL,\n"
+    "    payload     BLOB NOT NULL,\n"
+    "    size        INTEGER NOT NULL,\n"
+    "    created_at  REAL NOT NULL,\n"
+    "    last_access REAL NOT NULL\n"
+    ");\n"
+    f"CREATE INDEX IF NOT EXISTS idx_{table}_last_access ON {table}(last_access);\n"
+    for table, (key, _) in _TABLES.items()
+) + """
 CREATE TABLE IF NOT EXISTS counters (
     tier      TEXT PRIMARY KEY,
     hits      INTEGER NOT NULL DEFAULT 0,
@@ -97,8 +117,9 @@ CREATE TABLE IF NOT EXISTS counters (
 );
 """
 
-#: Counter rows maintained in the database, in display order.
-TIERS = ("memory", "results", "curves")
+#: What pickling a value that cannot pickle raises (a lambda, a lock, a
+#: local class); any other error is a bug and propagates.
+_UNPICKLABLE = (pickle.PicklingError, TypeError, AttributeError)
 
 
 def default_cache_path(cache_dir: str) -> str:
@@ -106,10 +127,30 @@ def default_cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, CACHE_FILENAME)
 
 
+def solve_key(kind: str, options: Mapping[str, Any], inputs: Sequence[Any]) -> str:
+    """Content address of one deterministic solver call.
+
+    Covers the solver ``kind``, its fixed ``options`` and every input: an
+    array contributes its dtype, shape and bytes, anything else its
+    ``repr``.  Two calls share a key exactly when the solver sees the same
+    bits.
+    """
+    digest = hashlib.sha256(kind.encode())
+    for name in sorted(options):
+        digest.update(f"\x1f{name}={options[name]!r}".encode())
+    for value in inputs:
+        if hasattr(value, "tobytes"):
+            digest.update(f"\x1e{value.dtype.str}{value.shape}".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(f"\x1e{value!r}".encode())
+    return digest.hexdigest()
+
+
 class SqliteResultCache:
     """Disk-backed, content-addressed :class:`~repro.engine.cache.ResultCache`.
 
-    Two tiers answer every lookup:
+    Two tiers answer every result lookup:
 
     * a small in-process LRU **front** (``memory_entries`` deserialized
       results, served copy-on-read exactly like
@@ -119,6 +160,9 @@ class SqliteResultCache:
       :class:`repro.campaigns.store.SqliteStore`) and any number of
       *processes*, each holding its own :class:`SqliteResultCache` over the
       same path.
+
+    The same file also holds the curve tier (:meth:`store_curve` /
+    :meth:`load_curve`) and the solve tier (:meth:`solve`).
 
     Parameters
     ----------
@@ -168,6 +212,8 @@ class SqliteResultCache:
         already counted, so without it every pooled training would count
         twice.
         """
+        from repro.engine.job import JobResult
+
         with self._lock:
             front = self._front.get(fingerprint)
             if front is not None:
@@ -175,24 +221,13 @@ class SqliteResultCache:
                 self._deltas["memory"].hits += 1
                 return self._serve(front)
             self._deltas["memory"].misses += 1
-            row = self._conn.execute(
-                "SELECT schema, payload FROM results WHERE fingerprint = ?",
-                (fingerprint,),
-            ).fetchone()
-            result = None if row is None else self._decode_result(fingerprint, row)
-            if result is None:
-                if count_miss:
-                    self._deltas["results"].misses += 1
-                return None
-            self._deltas["results"].hits += 1
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE results SET last_access = ? WHERE fingerprint = ?",
-                    (time.time(), fingerprint),
-                )
-                self._flush_locked()
-            self._remember(fingerprint, result)
-            return self._serve(result)
+            result = self._load_blob(
+                "results", fingerprint, expect=JobResult, count_miss=count_miss
+            )
+            if result is not None:
+                self._remember(fingerprint, result)
+                return self._serve(result)
+            return None
 
     def put(self, fingerprint: str, result: JobResult) -> None:
         """Persist one result (committed transaction) and front it.
@@ -201,34 +236,13 @@ class SqliteResultCache:
         degrades to front-only caching with a warning — the disk tier only
         ever holds entries it can serve back.
         """
-        try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            warnings.warn(
-                "training result is not picklable; cached in memory only",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            with self._lock:
-                self._remember(fingerprint, result)
-            return
-        now = time.time()
         with self._lock:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO results "
-                    "(fingerprint, schema, payload, size, created_at, last_access) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        fingerprint,
-                        RESULT_SCHEMA,
-                        sqlite3.Binary(payload),
-                        len(payload),
-                        now,
-                        now,
-                    ),
+            if not self._store_blob("results", fingerprint, result):
+                warnings.warn(
+                    "training result is not picklable; cached in memory only",
+                    RuntimeWarning,
+                    stacklevel=2,
                 )
-                self._flush_locked()
             self._remember(fingerprint, result)
 
     def __len__(self) -> int:
@@ -297,7 +311,7 @@ class SqliteResultCache:
         """Per-table entry counts and payload bytes (for ``cache stats``)."""
         with self._lock:
             tables = {}
-            for table in ("results", "curves"):
+            for table in _TABLES:
                 count, size = self._conn.execute(
                     f"SELECT count(*), coalesce(sum(size), 0) FROM {table}"
                 ).fetchone()
@@ -330,11 +344,11 @@ class SqliteResultCache:
 
     # -- maintenance --------------------------------------------------------------
     def clear(self) -> None:
-        """Drop every stored result and curve (counters are kept)."""
+        """Drop every stored result, curve and solve (counters are kept)."""
         with self._lock:
             with self._conn:
-                self._conn.execute("DELETE FROM results")
-                self._conn.execute("DELETE FROM curves")
+                for table in _TABLES:
+                    self._conn.execute(f"DELETE FROM {table}")
             self._front.clear()
 
     def clear_all(self) -> dict[str, int]:
@@ -342,30 +356,28 @@ class SqliteResultCache:
         with self._lock:
             removed = self.entry_stats()
             with self._conn:
-                self._conn.execute("DELETE FROM results")
-                self._conn.execute("DELETE FROM curves")
+                for table in _TABLES:
+                    self._conn.execute(f"DELETE FROM {table}")
                 self._conn.execute("DELETE FROM counters")
             for delta in self._deltas.values():
                 delta.hits = delta.misses = delta.evictions = 0
             self._front.clear()
         return {
-            "removed_results": removed["results"]["entries"],
-            "removed_curves": removed["curves"]["entries"],
-            "freed_bytes": removed["results"]["size_bytes"]
-            + removed["curves"]["size_bytes"],
+            **{f"removed_{table}": removed[table]["entries"] for table in _TABLES},
+            "freed_bytes": sum(table["size_bytes"] for table in removed.values()),
         }
 
     def gc(self, max_mb: float) -> dict[str, int]:
         """Evict least-recently-accessed entries until the payload fits.
 
-        Walks results and curves together by ``last_access`` (oldest first)
+        Walks every disk tier together by ``last_access`` (oldest first)
         and deletes until total payload size is at most ``max_mb``
         megabytes.  Evictions count into the disk tiers' shared counters.
         """
         if max_mb < 0:
             raise ConfigurationError(f"max_mb must be >= 0, got {max_mb}")
         limit = int(max_mb * 1024 * 1024)
-        removed = {"results": 0, "curves": 0}
+        removed = dict.fromkeys(_TABLES, 0)
         freed = 0
         with self._lock:
             total = sum(
@@ -373,93 +385,75 @@ class SqliteResultCache:
             )
             if total > limit:
                 rows = self._conn.execute(
-                    "SELECT 'results' AS tbl, fingerprint AS key, size, last_access"
-                    "  FROM results "
-                    "UNION ALL "
-                    "SELECT 'curves' AS tbl, curve_key AS key, size, last_access"
-                    "  FROM curves "
-                    "ORDER BY last_access, key"
+                    " UNION ALL ".join(
+                        f"SELECT '{table}' AS tbl, {column} AS key, size, last_access"
+                        f" FROM {table}"
+                        for table, (column, _) in _TABLES.items()
+                    )
+                    + " ORDER BY last_access, key"
                 ).fetchall()
                 with self._conn:
                     for table, key, size, _ in rows:
                         if total <= limit:
                             break
-                        column = (
-                            "fingerprint" if table == "results" else "curve_key"
-                        )
+                        column, _ = _TABLES[table]
                         self._conn.execute(
                             f"DELETE FROM {table} WHERE {column} = ?", (key,)
                         )
                         self._front.pop(key, None)
-                        tier = "results" if table == "results" else "curves"
-                        self._deltas[tier].evictions += 1
+                        self._deltas[table].evictions += 1
                         removed[table] += 1
                         freed += int(size)
                         total -= int(size)
                     self._flush_locked()
         return {
-            "removed_results": removed["results"],
-            "removed_curves": removed["curves"],
+            **{f"removed_{table}": count for table, count in removed.items()},
             "freed_bytes": freed,
             "remaining_bytes": total,
         }
 
     # -- the curve tier -----------------------------------------------------------
     def store_curve(self, curve_key: str, curve: "FittedCurve") -> None:
-        """Persist one fitted curve under its content-addressed key."""
-        try:
-            payload = pickle.dumps(curve, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # pragma: no cover - curves are plain dataclasses
-            return
-        now = time.time()
-        with self._lock:
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO curves "
-                    "(curve_key, schema, payload, size, created_at, last_access) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        curve_key,
-                        CURVE_SCHEMA,
-                        sqlite3.Binary(payload),
-                        len(payload),
-                        now,
-                        now,
-                    ),
-                )
-                self._flush_locked()
+        """Persist one fitted curve under its content-addressed key.
+
+        A curve that cannot pickle is simply not persisted (the in-memory
+        curve cache still holds it).
+        """
+        self._store_blob("curves", curve_key, curve)
 
     def load_curve(self, curve_key: str) -> "FittedCurve | None":
         """One stored curve, or ``None`` (corruption degrades to a miss)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT schema, payload FROM curves WHERE curve_key = ?",
-                (curve_key,),
-            ).fetchone()
-            curve = None
-            if row is not None and row[0] == CURVE_SCHEMA:
-                try:
-                    curve = pickle.loads(row[1])
-                except Exception:
-                    curve = None
-            if curve is None:
-                if row is not None:
-                    # Version-mismatched or corrupted: drop it so the slot
-                    # can be refilled by the refit this miss triggers.
-                    with self._conn:
-                        self._conn.execute(
-                            "DELETE FROM curves WHERE curve_key = ?", (curve_key,)
-                        )
-                self._deltas["curves"].misses += 1
-                return None
-            self._deltas["curves"].hits += 1
-            with self._conn:
-                self._conn.execute(
-                    "UPDATE curves SET last_access = ? WHERE curve_key = ?",
-                    (time.time(), curve_key),
-                )
-                self._flush_locked()
-        return curve
+        return self._load_blob("curves", curve_key)
+
+    # -- the solve tier -----------------------------------------------------------
+    def solve(
+        self,
+        kind: str,
+        options: Mapping[str, Any],
+        inputs: Sequence[Any],
+        compute: Callable[[], Any],
+    ) -> Any:
+        """``compute()``, served from the solve tier when already stored.
+
+        ``compute`` must be a deterministic function of ``kind``,
+        ``options`` and ``inputs`` (see :func:`solve_key`).  Both of its
+        outcomes are stored: the value it returns, and an
+        :class:`~repro.utils.exceptions.OptimizationError` it raises, which
+        a later hit raises again with the same message — so a caller's
+        fallback path replays without running the solver.
+        """
+        key = solve_key(kind, options, inputs)
+        outcome = self._load_blob("solves", key, expect=tuple)
+        if outcome is None:
+            try:
+                outcome = ("ok", compute())
+            except OptimizationError as error:
+                outcome = ("failed", str(error))
+            self._store_blob("solves", key, outcome)
+        status, value = outcome
+        if status == "failed":
+            raise OptimizationError(value)
+        return value
 
     # -- executor integration -----------------------------------------------------
     def worker_runner(self) -> Callable[[TrainingJob], JobResult]:
@@ -475,24 +469,70 @@ class SqliteResultCache:
         """
         return functools.partial(run_training_job_shared, self.path)
 
-    # -- internals ----------------------------------------------------------------
-    def _decode_result(self, fingerprint: str, row: tuple) -> JobResult | None:
-        """Deserialize one row; schema mismatch/corruption degrades to a miss."""
-        schema, payload = row
-        result: JobResult | None = None
-        if schema == RESULT_SCHEMA:
-            try:
-                loaded = pickle.loads(payload)
-            except Exception:
-                loaded = None
-            if isinstance(loaded, JobResult):
-                result = loaded
-        if result is None:
+    # -- internals: the keyed-blob path every tier shares -------------------------
+    def _store_blob(self, table: str, key: str, value: Any) -> bool:
+        """Persist ``value`` under ``key`` in one committed transaction.
+
+        Returns ``False`` (and writes nothing) when ``value`` cannot pickle.
+        """
+        try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except _UNPICKLABLE:
+            return False
+        column, schema = _TABLES[table]
+        now = time.time()
+        with self._lock:
             with self._conn:
                 self._conn.execute(
-                    "DELETE FROM results WHERE fingerprint = ?", (fingerprint,)
+                    f"INSERT OR REPLACE INTO {table} "
+                    f"({column}, schema, payload, size, created_at, last_access) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    (key, schema, sqlite3.Binary(payload), len(payload), now, now),
                 )
-        return result
+                self._flush_locked()
+        return True
+
+    def _load_blob(
+        self,
+        table: str,
+        key: str,
+        *,
+        expect: type | tuple[type, ...] = object,
+        count_miss: bool = True,
+    ) -> Any:
+        """The value stored under ``key``, or ``None`` on a miss.
+
+        A row with another schema tag, a payload that fails to unpickle, or
+        a value that is not an ``expect`` instance is deleted — so the
+        recomputation this miss triggers can refill the slot — and counted
+        as an eviction of its tier, next to the miss.
+        """
+        column, schema = _TABLES[table]
+        with self._lock:
+            row = self._conn.execute(
+                f"SELECT schema, payload FROM {table} WHERE {column} = ?", (key,)
+            ).fetchone()
+            value = None
+            if row is not None:
+                value = _decode(row, schema, expect)
+                if value is None:
+                    with self._conn:
+                        self._conn.execute(
+                            f"DELETE FROM {table} WHERE {column} = ?", (key,)
+                        )
+                    self._deltas[table].evictions += 1
+            if value is None:
+                if count_miss:
+                    self._deltas[table].misses += 1
+                return None
+            self._deltas[table].hits += 1
+            with self._conn:
+                self._conn.execute(
+                    f"UPDATE {table} SET last_access = ? WHERE {column} = ?",
+                    (time.time(), key),
+                )
+                self._flush_locked()
+        return value
 
     def _remember(self, fingerprint: str, result: JobResult) -> None:
         """Insert into the LRU front, evicting (and counting) when full."""
@@ -526,6 +566,23 @@ class SqliteResultCache:
         self.close()
 
 
+def _decode(row: tuple, schema: str, expect: type | tuple[type, ...]) -> Any:
+    """Unpickle one ``(schema, payload)`` row, or ``None`` if it is unusable."""
+    tag, payload = row
+    if tag != schema:
+        return None
+    try:
+        value = pickle.loads(payload)
+    except Exception:
+        # The cache file is the trust boundary: a damaged payload can raise
+        # nearly any exception from inside the unpickler (UnpicklingError,
+        # EOFError, ValueError, OverflowError, MemoryError, ImportError, ...).
+        # Every one means "this row is unusable"; the caller deletes the row
+        # and counts it as an eviction, so the failure stays visible.
+        return None
+    return value if isinstance(value, expect) else None
+
+
 #: One cache handle per file per worker process, reused across batches.
 _WORKER_CACHES: dict[str, SqliteResultCache] = {}
 
@@ -550,6 +607,8 @@ def run_training_job_shared(path: str, job: TrainingJob) -> JobResult:
     miss, so only the cross-process hits it discovers add to the shared
     counters.
     """
+    from repro.engine.job import run_training_job
+
     cache = _worker_cache(path)
     hit = cache.get(job.fingerprint, count_miss=False)
     if hit is not None:

@@ -27,8 +27,9 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro.engine.backends import available_executors, get_executor  # noqa: F401
 from repro.engine.cache import ResultCache
 from repro.engine.job import (
     JobResult,
@@ -326,26 +327,3 @@ class ProcessPoolExecutor(Executor):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-_EXECUTORS: dict[str, Callable[..., Executor]] = {
-    "serial": SerialExecutor,
-    "process": ProcessPoolExecutor,
-    "process_pool": ProcessPoolExecutor,
-}
-
-
-def available_executors() -> tuple[str, ...]:
-    """Primary names of the built-in executor backends."""
-    return ("serial", "process")
-
-
-def get_executor(name: str, **kwargs: Any) -> Executor:
-    """Build an executor backend by name (``"serial"`` or ``"process"``)."""
-    factory = _EXECUTORS.get(name.strip().lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown executor {name!r}; available: "
-            f"{', '.join(available_executors())}"
-        )
-    return factory(**kwargs)

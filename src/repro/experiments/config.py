@@ -11,10 +11,15 @@ the full benchmark runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.curves.estimator import CurveEstimationConfig
-from repro.ml.train import TrainingConfig
 from repro.utils.exceptions import ConfigurationError
+
+# The config classes (and with them numpy) are imported where a config is
+# built, so the CLI parser can read SOURCE_KINDS without loading numpy.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.curves.estimator import CurveEstimationConfig
+    from repro.ml.train import TrainingConfig
 
 
 #: Source kinds :func:`~repro.experiments.runner.build_sources` understands
@@ -29,6 +34,8 @@ def fast_training_config(epochs: int = 40, batch_size: int = 32) -> TrainingConf
     well within ``epochs`` passes; the configuration is fixed once per
     experiment exactly like the paper fixes hyperparameters per dataset.
     """
+    from repro.ml.train import TrainingConfig
+
     return TrainingConfig(
         epochs=epochs,
         batch_size=batch_size,
@@ -98,6 +105,8 @@ class ExperimentConfig:
 
     def curve_config(self, strategy: str = "amortized") -> CurveEstimationConfig:
         """The learning-curve estimation configuration for this experiment."""
+        from repro.curves.estimator import CurveEstimationConfig
+
         return CurveEstimationConfig(
             n_points=self.curve_points,
             n_repeats=self.curve_repeats,

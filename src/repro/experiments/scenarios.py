@@ -39,10 +39,14 @@ re-runs discovery mid-run and swaps to the discovered slices (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.datasets.blueprints import SyntheticTask, exponential_initial_sizes
 from repro.utils.exceptions import ConfigurationError
+
+# Listing scenarios (the CLI's --scenario choices) loads no numpy; the
+# blueprint module is imported by the one rule that computes with it.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datasets.blueprints import SyntheticTask
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,8 @@ def _bad_for_water_filling(task: SyntheticTask, base_size: int) -> dict[str, int
 
 
 def _exponential(task: SyntheticTask, base_size: int) -> dict[str, int]:
+    from repro.datasets.blueprints import exponential_initial_sizes
+
     return exponential_initial_sizes(
         task.slice_names, largest=base_size * 2, decay=0.85, minimum=max(base_size // 5, 10)
     )

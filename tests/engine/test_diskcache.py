@@ -2,12 +2,14 @@
 
 Covers the contract the in-memory caches cannot offer — results surviving
 process restarts, two processes sharing one WAL file without corrupting it
-or retraining each other's work, kill -9 crash-safety mid-``put``, and the
-degrade-to-a-miss guarantees for corrupted or version-mismatched blobs.
+or retraining each other's work, kill -9 crash-safety mid-``put``, the
+degrade-to-a-miss guarantees for corrupted or version-mismatched blobs, and
+the solve tier that lets a warm run skip scipy.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import signal
@@ -20,12 +22,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.imbalance import get_change_ratio
+from repro.core.optimizer import SLSQP_OPTIONS, optimize_allocation, solve_slsqp
+from repro.core.problem import SelectiveAcquisitionProblem
 from repro.curves.estimator import CurveEstimationConfig, LearningCurveEstimator
-from repro.engine.cache import CacheStats, ResultCache
+from repro.engine.cache import (
+    CacheStats,
+    InMemoryResultCache,
+    ResultCache,
+    memoized_solve,
+)
 from repro.engine.diskcache import (
+    CURVE_SCHEMA,
     RESULT_SCHEMA,
     SqliteCurveCache,
     SqliteResultCache,
+    solve_key,
 )
 from repro.engine.executor import ProcessPoolExecutor, SerialExecutor
 from repro.engine.factories import get_model_factory
@@ -544,3 +556,271 @@ class TestCrashAndConcurrency:
                 ]
             for fingerprint in fingerprints:
                 assert cache.get(fingerprint) is not None
+
+
+# -- the shared keyed-blob path and the solve tier -----------------------------
+
+#: The cache schema before the solve tier existed (results + curves only).
+_RESULTS_AND_CURVES_DDL = """
+CREATE TABLE IF NOT EXISTS results (
+    fingerprint TEXT PRIMARY KEY,
+    schema      TEXT NOT NULL,
+    payload     BLOB NOT NULL,
+    size        INTEGER NOT NULL,
+    created_at  REAL NOT NULL,
+    last_access REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_results_last_access ON results(last_access);
+CREATE TABLE IF NOT EXISTS curves (
+    curve_key   TEXT PRIMARY KEY,
+    schema      TEXT NOT NULL,
+    payload     BLOB NOT NULL,
+    size        INTEGER NOT NULL,
+    created_at  REAL NOT NULL,
+    last_access REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_curves_last_access ON curves(last_access);
+CREATE TABLE IF NOT EXISTS counters (
+    tier      TEXT PRIMARY KEY,
+    hits      INTEGER NOT NULL DEFAULT 0,
+    misses    INTEGER NOT NULL DEFAULT 0,
+    evictions INTEGER NOT NULL DEFAULT 0
+);
+"""
+
+
+def _problem(**overrides) -> SelectiveAcquisitionProblem:
+    fields = dict(
+        sizes=[40.0, 80.0, 20.0],
+        costs=[1.0, 2.0, 1.0],
+        b=[2.0, 1.5, 3.0],
+        a=[0.4, 0.3, 0.5],
+        budget=150.0,
+        lam=1.0,
+    )
+    fields.update(overrides)
+    return SelectiveAcquisitionProblem(
+        slice_names=tuple(f"s{i}" for i in range(len(fields["sizes"]))),
+        sizes=np.array(fields["sizes"]),
+        costs=np.array(fields["costs"]),
+        b=np.array(fields["b"]),
+        a=np.array(fields["a"]),
+        budget=fields["budget"],
+        lam=fields["lam"],
+    )
+
+
+#: A problem SLSQP cannot solve (finite inputs, extreme scales).
+_FAILING = dict(
+    sizes=[1.0, 1e9], costs=[1.0, 1.0], b=[1e-300, 1e300], a=[1.0, 3.0], budget=1e15
+)
+
+
+def _damage(path: str, table: str, how: str) -> None:
+    """Garble every row of ``table``: a garbage blob, a truncated pickle, or
+    a schema tag from another version."""
+    with sqlite3.connect(path) as conn:
+        if how == "schema":
+            conn.execute(f"UPDATE {table} SET schema = schema || '-future'")
+            return
+        rows = conn.execute(f"SELECT rowid, payload FROM {table}").fetchall()
+        for rowid, payload in rows:
+            if how == "garbage":
+                damaged = b"\x80\x04 not a pickle"
+            else:
+                damaged = payload[: len(payload) // 2]
+            conn.execute(
+                f"UPDATE {table} SET payload = ? WHERE rowid = ?", (damaged, rowid)
+            )
+
+
+class TestSolveTier:
+    def test_warm_solve_is_served_bitwise_equal(self, cache_path):
+        problem = _problem()
+        reference = solve_slsqp(problem)
+        with SqliteResultCache(cache_path) as cache:
+            cold = solve_slsqp(problem, cache)
+        with SqliteResultCache(cache_path) as cache:
+            warm = solve_slsqp(problem, cache)
+            solves = cache.tier_stats()["solves"]
+        assert cold.tobytes() == reference.tobytes() == warm.tobytes()
+        assert (solves.hits, solves.misses) == (1, 1)
+
+    def test_change_ratio_root_is_memoized_and_early_returns_are_not(self, cache_path):
+        reference = get_change_ratio([10, 10], [10, 40], 2.0)
+        for _ in range(2):
+            with SqliteResultCache(cache_path) as cache:
+                ratio = get_change_ratio([10, 10], [10, 40], 2.0, cache=cache)
+                assert ratio == reference
+                assert get_change_ratio([10, 20], [5, 5], 2.0, cache=cache) == 0.0
+        with SqliteResultCache(cache_path) as cache:
+            solves = cache.tier_stats()["solves"]
+            assert cache.entry_stats()["solves"]["entries"] == 1
+        assert (solves.hits, solves.misses) == (1, 1)
+
+    def test_key_covers_kind_options_dtype_shape_bytes_and_scalars(self):
+        array = np.arange(4.0)
+        base = solve_key("k", {"tol": 1e-9}, (array, 2.0))
+        assert base == solve_key("k", {"tol": 1e-9}, (array.copy(), 2.0))
+        variants = {
+            solve_key("j", {"tol": 1e-9}, (array, 2.0)),
+            solve_key("k", {"tol": 1e-8}, (array, 2.0)),
+            solve_key("k", {"tol": 1e-9}, (array.astype(np.float32), 2.0)),
+            solve_key("k", {"tol": 1e-9}, (array.reshape(2, 2), 2.0)),
+            solve_key("k", {"tol": 1e-9}, (np.nextafter(array, 9.0), 2.0)),
+            solve_key("k", {"tol": 1e-9}, (array, 2)),
+        }
+        assert len(variants) == 6 and base not in variants
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "schema"])
+    def test_damaged_row_is_a_miss_deleted_and_recomputed_bitwise(
+        self, cache_path, damage
+    ):
+        problem = _problem()
+        with SqliteResultCache(cache_path) as cache:
+            cold = solve_slsqp(problem, cache)
+        _damage(cache_path, "solves", damage)
+        rows_when_recomputing = []
+
+        def recompute():
+            with sqlite3.connect(cache_path) as conn:
+                rows_when_recomputing.append(
+                    conn.execute("SELECT count(*) FROM solves").fetchone()[0]
+                )
+            return solve_slsqp(problem)
+
+        with SqliteResultCache(cache_path) as cache:
+            key_inputs = (problem.sizes, problem.costs, problem.b, problem.a,
+                          problem.budget, problem.lam)
+            warm = cache.solve("slsqp", SLSQP_OPTIONS, key_inputs, recompute)
+            again = solve_slsqp(problem, cache)
+            solves = cache.tier_stats()["solves"]
+        assert rows_when_recomputing == [0]
+        assert warm.tobytes() == cold.tobytes() == again.tobytes()
+        assert (solves.hits, solves.misses, solves.evictions) == (1, 2, 1)
+
+    def test_stored_failure_replays_the_greedy_fallback_without_scipy(self, cache_path):
+        with SqliteResultCache(cache_path) as cache:
+            cold = optimize_allocation(_problem(**_FAILING), cache)
+        assert cold.solver == "greedy"
+        replay = textwrap.dedent(
+            f"""
+            import json, sys
+            import numpy as np
+            from repro.core.optimizer import optimize_allocation
+            from repro.core.problem import SelectiveAcquisitionProblem
+            from repro.engine.diskcache import SqliteResultCache
+            fields = {_FAILING!r}
+            problem = SelectiveAcquisitionProblem(
+                slice_names=("s0", "s1"), lam=1.0, budget=fields.pop("budget"),
+                **{{name: np.array(value) for name, value in fields.items()}})
+            with SqliteResultCache(sys.argv[1]) as cache:
+                result = optimize_allocation(problem, cache)
+            print(json.dumps({{
+                "solver": result.solver,
+                "allocation": result.allocation.tobytes().hex(),
+                "continuous": result.continuous_allocation.tobytes().hex(),
+                "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+            }}))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", replay, cache_path],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "solver": "greedy",
+            "allocation": cold.allocation.tobytes().hex(),
+            "continuous": cold.continuous_allocation.tobytes().hex(),
+            "scipy": [],
+        }
+
+    def test_clear_clear_all_and_gc_remove_solve_rows(self, cache_path):
+        problem = _problem()
+        with SqliteResultCache(cache_path) as cache:
+            solve_slsqp(problem, cache)
+            cache.clear()
+            assert cache.entry_stats()["solves"]["entries"] == 0
+            solve_slsqp(problem, cache)
+            assert cache.clear_all()["removed_solves"] == 1
+            solve_slsqp(problem, cache)
+            report = cache.gc(max_mb=0)
+            assert report["removed_solves"] == 1
+            assert report["remaining_bytes"] == 0
+            assert cache.tier_stats()["solves"].evictions == 1
+
+    def test_in_memory_cache_runs_the_solver_every_time(self):
+        calls = []
+        for _ in range(2):
+            memoized_solve(InMemoryResultCache(), "k", {}, (), lambda: calls.append(1))
+        assert calls == [1, 1]
+
+    def test_file_without_a_solve_table_serves_its_rows_and_gains_one(
+        self, rng, cache_path
+    ):
+        job = _job(rng)
+        result = run_training_job(job)
+        curve = {"b": 2.5, "a": 0.7}
+        with sqlite3.connect(cache_path) as conn:
+            conn.executescript(_RESULTS_AND_CURVES_DDL)
+            for table, key, schema, value in (
+                ("results", job.fingerprint, RESULT_SCHEMA, result),
+                ("curves", "curve", CURVE_SCHEMA, curve),
+            ):
+                payload = pickle.dumps(value)
+                conn.execute(
+                    f"INSERT INTO {table} VALUES (?, ?, ?, ?, 0.0, 0.0)",
+                    (key, schema, payload, len(payload)),
+                )
+        with SqliteResultCache(cache_path) as cache:
+            served = cache.get(job.fingerprint)
+            assert served is not None
+            assert served.model.weights.tobytes() == result.model.weights.tobytes()
+            assert cache.load_curve("curve") == curve
+            solve_slsqp(_problem(), cache)
+            assert cache.entry_stats()["solves"]["entries"] == 1
+
+
+class _BrokenReduce:
+    """Pickling it fails with an error no unpicklable type raises."""
+
+    def __reduce__(self):
+        raise RuntimeError("bug in __reduce__")
+
+
+class TestBlobFailures:
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "schema"])
+    def test_damaged_result_and_curve_rows_are_deleted_and_counted(
+        self, rng, cache_path, damage
+    ):
+        job = _job(rng)
+        with SqliteResultCache(cache_path) as cache:
+            cache.put(job.fingerprint, run_training_job(job))
+            cache.store_curve("curve", {"b": 2.5, "a": 0.7})
+        for table in ("results", "curves"):
+            _damage(cache_path, table, damage)
+        with SqliteResultCache(cache_path) as cache:
+            assert cache.get(job.fingerprint) is None
+            assert cache.load_curve("curve") is None
+            tiers = cache.tier_stats()
+            entries = cache.entry_stats()
+        for table in ("results", "curves"):
+            assert (tiers[table].misses, tiers[table].evictions) == (1, 1)
+            assert entries[table]["entries"] == 0
+
+    def test_unpicklable_curve_is_not_persisted(self, cache_path):
+        with SqliteResultCache(cache_path) as cache:
+            cache.store_curve("curve", lambda: None)
+            assert cache.entry_stats()["curves"]["entries"] == 0
+            assert cache.load_curve("curve") is None
+
+    def test_a_pickling_bug_propagates_instead_of_degrading(self, rng, cache_path):
+        result = run_training_job(_job(rng))
+        result.tag = _BrokenReduce()
+        with SqliteResultCache(cache_path) as cache:
+            with pytest.raises(RuntimeError, match="__reduce__"):
+                cache.put("key", result)
+            with pytest.raises(RuntimeError, match="__reduce__"):
+                cache.store_curve("curve", _BrokenReduce())
+            assert len(cache) == 0

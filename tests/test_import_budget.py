@@ -4,8 +4,10 @@ Only curve fitting and the SLSQP allocator need scipy, so scipy is imported
 inside the functions that call it, the package ``__init__``s re-export their
 names lazily (PEP 562), and each CLI handler imports its own dependencies.
 These tests pin that in fresh interpreters, where ``sys.modules`` starts
-empty: read-only commands and ``import repro.cli`` load no scipy module.
-They assert module membership only, never wall time.
+empty: read-only commands and ``import repro.cli`` load neither numpy nor
+scipy, and a repeated ``run`` over a filled ``--cache-dir`` (whose solve tier
+memoizes the allocator's scipy steps) loads no scipy.  They assert module
+membership only, never wall time.
 
 They also pin what laziness must not change: every registry lists the same
 names whether or not the rest of the package was imported, every lazily
@@ -79,16 +81,37 @@ def _python(code: str, *args: str, cwd: Path | None = None) -> str:
     return proc.stdout
 
 
+#: Runs one CLI command, then reports its exit code and which of numpy and
+#: scipy it loaded as the last line of stdout.
+_CLI_LIBRARIES_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    from repro.cli import main
+    code = main(sys.argv[1:])
+    loaded = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+    print(json.dumps({"code": code, "libraries": loaded}))
+    """
+)
+
+#: The read-only queries of the ``cli_session`` benchmark workload.
+_QUERIES = [
+    ["cache", "stats", "--json", "--cache-dir", "cache"],
+    ["campaign", "list", "--store", "store.db"],
+    ["report", "summary", "--json", "--store", "store.db"],
+    ["monitor", "status", "--json", "--store", "store.db"],
+]
+
+
 def _last_json(stdout: str):
     return json.loads(stdout.strip().splitlines()[-1])
 
 
 def _loaded_after(statement: str) -> list[str]:
-    """Names of the ``repro`` and ``scipy`` modules ``statement`` loads."""
+    """Names of the ``repro``, ``numpy`` and ``scipy`` modules ``statement`` loads."""
     code = (
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('repro', 'scipy'))))"
+        "if m.split('.')[0] in ('repro', 'numpy', 'scipy'))))"
     )
     return _last_json(_python(code))
 
@@ -109,6 +132,11 @@ def test_import_repro_cli_loads_no_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
+def test_import_repro_cli_loads_no_numpy():
+    loaded = _loaded_after("import repro.cli")
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     """A small campaign store (with its analytics mirror) and result cache."""
@@ -124,19 +152,16 @@ def workdir(tmp_path_factory) -> Path:
     return root
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cache", "stats", "--json", "--cache-dir", "cache"],
-        ["campaign", "list", "--store", "store.db"],
-        ["report", "summary", "--json", "--store", "store.db"],
-        ["monitor", "status", "--json", "--store", "store.db"],
-    ],
-    ids=lambda argv: "_".join(argv[:2]),
-)
+@pytest.mark.parametrize("argv", _QUERIES, ids=lambda argv: "_".join(argv[:2]))
 def test_query_commands_load_no_scipy(workdir, argv):
     probe = _cli(*argv, cwd=workdir)
     assert probe == {"code": 0, "scipy": []}
+
+
+@pytest.mark.parametrize("argv", _QUERIES, ids=lambda argv: "_".join(argv[:2]))
+def test_query_commands_load_no_numpy(workdir, argv):
+    probe = _last_json(_python(_CLI_LIBRARIES_PROBE, *argv, cwd=workdir))
+    assert probe == {"code": 0, "libraries": []}
 
 
 def test_remote_list_without_a_server_loads_no_scipy(tmp_path):
@@ -159,6 +184,31 @@ def test_run_loads_scipy_and_matches_a_fully_imported_run(tmp_path, capsys):
     assert main(_RUN_ARGS) == 0
     expected = json.loads(capsys.readouterr().out)
     assert json.loads("\n".join(output)) == expected
+
+
+@pytest.mark.parametrize(
+    "method", ["oneshot", "aggressive", "moderate", "conservative"]
+)
+def test_warm_run_loads_no_scipy_and_repeats_the_first_run(tmp_path, capsys, method):
+    args = [
+        "run", "--dataset", "adult_like", "--initial-size", "40",
+        "--validation-size", "40", "--epochs", "5", "--curve-points", "3",
+        "--budget", "120", "--method", method, "--seed", "0", "--evaluate",
+        "--quiet", "--json", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["trainings_performed"] > 0
+
+    stdout = _python(_CLI_LIBRARIES_PROBE, *args, cwd=tmp_path)
+    *output, probe = stdout.strip().splitlines()
+    assert json.loads(probe) == {"code": 0, "libraries": ["numpy"]}
+    second = json.loads("\n".join(output))
+    assert second["trainings_performed"] == 0
+    ignored = ("cache", "trainings_performed")
+    assert {k: v for k, v in second.items() if k not in ignored} == {
+        k: v for k, v in first.items() if k not in ignored
+    }
 
 
 # -- PEP 562 re-exports --------------------------------------------------------
