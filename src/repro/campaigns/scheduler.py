@@ -248,7 +248,7 @@ class CampaignScheduler:
                 entry.failed = True
                 try:
                     error.campaign_id = entry.campaign.campaign_id  # type: ignore[attr-defined]
-                except Exception:  # noqa: BLE001 - attribute-less exception
+                except AttributeError:  # an exception that takes no attributes
                     pass
                 raise
             done = record is None

@@ -15,6 +15,7 @@ from repro.ml.losses import (
     binary_cross_entropy_loss,
     cross_entropy_gradient,
     cross_entropy_loss,
+    example_log_losses,
     one_hot,
     sigmoid,
     softmax,
@@ -70,15 +71,17 @@ class SoftmaxRegression:
             raise ConfigurationError("model is not initialized")
         return [self.weights, self.bias]
 
-    def gradients(self, features: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-        """Return gradients of the regularized loss for a mini-batch."""
+    def losses_and_gradients(
+        self, features: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-example log losses and regularized-loss gradients of a mini-batch."""
         if self.weights is None or self.bias is None:
             raise ConfigurationError("model is not initialized")
         probabilities = self.predict_proba(features)
         dlogits = cross_entropy_gradient(probabilities, labels)
         dweights = features.T @ dlogits + self.l2 * self.weights
         dbias = dlogits.sum(axis=0)
-        return [dweights, dbias]
+        return example_log_losses(probabilities, labels), [dweights, dbias]
 
     # -- inference -----------------------------------------------------------
     def decision_function(self, features: np.ndarray) -> np.ndarray:

@@ -68,8 +68,13 @@ def cross_entropy_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
         )
     if probabilities.shape[0] == 0:
         return 0.0
-    clipped = np.clip(probabilities[np.arange(labels.shape[0]), labels], EPS, 1.0)
-    return float(-np.mean(np.log(clipped)))
+    return float(np.mean(example_log_losses(probabilities, labels)))
+
+
+def example_log_losses(probabilities: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Log loss of each row of ``probabilities`` against its integer label."""
+    picked = probabilities[np.arange(labels.shape[0]), labels]
+    return -np.log(np.clip(picked, EPS, 1.0))
 
 
 def binary_cross_entropy_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:

@@ -14,7 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.ml.data import Dataset
-from repro.ml.losses import cross_entropy_gradient, cross_entropy_loss, softmax
+from repro.ml.losses import (
+    cross_entropy_gradient,
+    cross_entropy_loss,
+    example_log_losses,
+    softmax,
+)
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_non_negative, check_positive_int
@@ -93,8 +98,10 @@ class MLPClassifier:
         logits = current @ self.weights[-1] + self.biases[-1]
         return activations, logits
 
-    def gradients(self, features: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-        """Backpropagate the regularized cross-entropy loss for a mini-batch."""
+    def losses_and_gradients(
+        self, features: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per-example log losses, and the regularized loss backpropagated."""
         if not self.is_initialized:
             raise ConfigurationError("model is not initialized")
         activations, logits = self._forward(features)
@@ -116,7 +123,7 @@ class MLPClassifier:
         for wg, bg in zip(weight_grads, bias_grads):
             grads.append(wg)
             grads.append(bg)
-        return grads
+        return example_log_losses(probabilities, labels), grads
 
     # -- inference -------------------------------------------------------------
     def decision_function(self, features: np.ndarray) -> np.ndarray:

@@ -11,6 +11,13 @@ model) has a second, faster loop: :func:`train_lockstep` steps K such
 trainings in lockstep on stacked arrays, one set of numpy calls per tick
 instead of one per model.  It is bitwise identical to the per-batch loop,
 and :meth:`Trainer.fit` uses it with K = 1 for every model it covers.
+
+Neither loop makes a separate pass over the training data to score an
+epoch: a full forward pass after every epoch would add a third or more to
+training time.  The per-epoch training loss is the mean of each example's
+log loss under the parameters of the step that used it, from the
+probabilities that step computes anyway.  The only loss evaluated on other
+data is the validation loss that early stopping needs.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from repro.ml.data import Dataset
 from repro.ml.linear import SoftmaxRegression
-from repro.ml.losses import one_hot, softmax
+from repro.ml.losses import example_log_losses, one_hot, softmax
 from repro.ml.optim import Adam, Optimizer, make_optimizer
 from repro.utils.exceptions import ConfigurationError
 from repro.utils.rng import RandomState, as_generator
@@ -38,9 +45,9 @@ class TrainableModel(Protocol):
 
     def parameters(self) -> list[np.ndarray]: ...
 
-    def gradients(
+    def losses_and_gradients(
         self, features: np.ndarray, labels: np.ndarray
-    ) -> list[np.ndarray]: ...
+    ) -> tuple[np.ndarray, list[np.ndarray]]: ...
 
     def loss(self, dataset: Dataset) -> float: ...
 
@@ -99,7 +106,7 @@ class TrainingConfig:
 
 @dataclass
 class TrainingResult:
-    """Outcome of a training run.
+    """Outcome of a training run; the fitted parameters live in the model.
 
     Attributes
     ----------
@@ -107,7 +114,8 @@ class TrainingResult:
         Number of epochs actually executed (may be fewer than configured if
         early stopping triggered).
     train_losses:
-        Per-epoch loss on the training data.
+        Per-epoch mean log loss on the training data, each example scored
+        by the parameters of the step that trained on it.
     validation_losses:
         Per-epoch loss on the validation data (empty when none was used).
     stopped_early:
@@ -129,7 +137,7 @@ class TrainingResult:
 
     @property
     def final_train_loss(self) -> float:
-        """Loss on the training data after the last epoch."""
+        """Training loss of the last epoch."""
         return self.train_losses[-1] if self.train_losses else float("nan")
 
 
@@ -194,9 +202,8 @@ class Trainer:
         )
 
         for epoch in range(config.epochs):
-            self._run_epoch(model, optimizer, train)
+            result.train_losses.append(self._run_epoch(model, optimizer, train))
             result.epochs_run = epoch + 1
-            result.train_losses.append(model.loss(train))
 
             if validation is not None and len(validation) > 0:
                 val_loss = model.loss(validation)
@@ -221,17 +228,23 @@ class Trainer:
 
     def _run_epoch(
         self, model: TrainableModel, optimizer: Optimizer, train: Dataset
-    ) -> None:
-        """One pass over the training data in shuffled mini-batches."""
+    ) -> float:
+        """One pass over the training data in shuffled mini-batches.
+
+        Returns the epoch's training loss: the mean over the examples of
+        each one's loss at the step that trained on it.
+        """
         n = len(train)
         order = self._rng.permutation(n)
         batch_size = min(self.config.batch_size, n)
+        losses = np.empty(n)
         for start in range(0, n, batch_size):
             batch_idx = order[start : start + batch_size]
             features = train.features[batch_idx]
             labels = train.labels[batch_idx]
-            grads = model.gradients(features, labels)
+            losses[batch_idx], grads = model.losses_and_gradients(features, labels)
             optimizer.update(model.parameters(), grads)
+        return float(losses.mean())
 
 
 def steps_per_epoch(n: int, batch_size: int) -> int:
@@ -288,9 +301,13 @@ def train_lockstep(
     the buffer, Adam's bias correction is one scalar, and the Adam step is
     one set of elementwise calls.  Within a tick, lanes whose current batch
     has the same length (all full batches, or equal short last batches)
-    share one stacked forward/backward pass.  Scratch memory is one stacked
-    copy of the training data plus one-hot targets: O(sum n*d), independent
-    of ``epochs``.
+    share one stacked forward/backward pass.  Each step keeps the class
+    probabilities it computed for its examples; when a lane finishes an
+    epoch, its training loss is scored from those, as the per-batch loop
+    scores it.  Scratch memory is one stacked copy of the training data,
+    one-hot targets and kept probabilities: O(sum n*(d + k)), independent
+    of ``epochs``.  No model is read while the lanes train, so each lane's
+    final row is written into its model's own arrays once, at the end.
     """
     models = [model for model, _, _ in lanes]
     trains = [train for _, train, _ in lanes]
@@ -309,9 +326,10 @@ def train_lockstep(
     sizes = [len(trains[lane]) for lane in order]
     offsets = np.cumsum([0, *sizes[:-1]])
     features = np.concatenate([trains[lane].features for lane in order])
-    targets = one_hot(
-        np.concatenate([trains[lane].labels for lane in order]), n_classes
-    )
+    labels = np.concatenate([trains[lane].labels for lane in order])
+    targets = one_hot(labels, n_classes)
+    # Each example's class probabilities at the step that trained on it.
+    seen = np.empty_like(targets)
 
     n_weights = n_features * n_classes
     params = np.empty((len(lanes), n_weights + n_classes))
@@ -321,13 +339,8 @@ def train_lockstep(
     for model in models:
         model.initialize(n_features)
     for row, lane in enumerate(order):
-        model = models[lane]
-        params[row, :n_weights] = model.weights.ravel()
-        params[row, n_weights:] = model.bias
-        # The models train on views of the buffer, so their per-epoch loss
-        # sees the live parameters.
-        model.weights = params[row, :n_weights].reshape(n_features, n_classes)
-        model.bias = params[row, n_weights:]
+        params[row, :n_weights] = models[lane].weights.ravel()
+        params[row, n_weights:] = models[lane].bias
 
     losses: list[list[float]] = [[] for _ in lanes]
     permutations: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * len(lanes)
@@ -338,6 +351,7 @@ def train_lockstep(
         tick += 1
         groups: dict[int, list[int]] = {}
         batches: list[np.ndarray] = []
+        finished: list[int] = []
         for row in range(active):
             start = positions[row]
             if start == 0:
@@ -345,7 +359,12 @@ def train_lockstep(
                     rngs[order[row]].permutation(sizes[row]) + offsets[row]
                 )
             stop = min(start + batch_size, sizes[row])
-            positions[row] = stop
+            # A finished epoch restarts at 0, drawing a new permutation.
+            if stop < sizes[row]:
+                positions[row] = stop
+            else:
+                positions[row] = 0
+                finished.append(row)
             batches.append(permutations[row][start:stop])
             groups.setdefault(stop - start, []).append(row)
         for length, rows in groups.items():
@@ -361,6 +380,7 @@ def train_lockstep(
             probabilities = softmax(
                 np.matmul(x, weights) + lane_params[:, None, n_weights:]
             )
+            seen[rows_idx] = probabilities
             dlogits = (probabilities - targets[rows_idx]) / length
             grads[selected, :n_weights] = (
                 np.matmul(x.transpose(0, 2, 1), dlogits) + l2 * weights
@@ -373,17 +393,19 @@ def train_lockstep(
             second_moments[:active],
             tick,
         )
-        for row in range(active):
-            if positions[row] == sizes[row]:
-                positions[row] = 0
-                lane = order[row]
-                losses[lane].append(models[lane].loss(trains[lane]))
+        for row in finished:
+            lane = slice(offsets[row], offsets[row] + sizes[row])
+            losses[order[row]].append(
+                float(example_log_losses(seen[lane], labels[lane]).mean())
+            )
         while active and totals[order[active - 1]] == tick:
             active -= 1
 
-    for model in models:
-        model.weights = model.weights.copy()
-        model.bias = model.bias.copy()
+    for row, lane in enumerate(order):
+        models[lane].weights[...] = params[row, :n_weights].reshape(
+            n_features, n_classes
+        )
+        models[lane].bias[...] = params[row, n_weights:]
     return [
         TrainingResult(epochs_run=epochs, train_losses=lane_losses)
         for lane_losses in losses

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.campaigns import (
@@ -139,3 +141,49 @@ class TestCampaignSuite:
             assert second[name].to_json() == first[name].to_json()
         # Idempotent: the second pass deduplicated, not duplicated.
         assert len(store.list_campaigns()) == len(first)
+
+
+class _FrozenError(RuntimeError):
+    """An exception that refuses new attributes."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} takes no attribute {name!r}")
+
+
+class TestFailingAdvance:
+    @staticmethod
+    def _failing(monkeypatch) -> tuple[CampaignScheduler, Campaign, _FrozenError]:
+        scheduler = CampaignScheduler()
+        campaign = scheduler.add(spec("doomed", method="moderate", budget=200.0))
+        error = _FrozenError("advance blew up")
+
+        def advance():
+            raise error
+
+        monkeypatch.setattr(campaign, "advance", advance)
+        return scheduler, campaign, error
+
+    def test_untaggable_error_propagates_and_parks_the_entry(self, monkeypatch):
+        scheduler, campaign, error = self._failing(monkeypatch)
+        with pytest.raises(_FrozenError) as raised:
+            scheduler.step()
+        assert raised.value is error
+        assert not hasattr(error, "campaign_id")
+        assert scheduler._find_entry(campaign.campaign_id).failed
+        assert scheduler.step() is None
+
+    def test_pump_records_an_untaggable_error_under_a_placeholder(
+        self, monkeypatch
+    ):
+        scheduler, campaign, error = self._failing(monkeypatch)
+        scheduler.start_pump(poll_interval=0.01)
+        try:
+            deadline = time.monotonic() + 30
+            while not scheduler.errors:
+                assert time.monotonic() < deadline, "pump recorded no error"
+                time.sleep(0.01)
+            assert scheduler.pump_running
+        finally:
+            scheduler.stop_pump()
+        assert scheduler.errors == [("?", error)]
+        assert scheduler._find_entry(campaign.campaign_id).failed

@@ -81,7 +81,9 @@ class TestProcessPoolExecutor:
             parallel = executor.submit(jobs)
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.model.weights, p.model.weights)
+            np.testing.assert_array_equal(s.model.bias, p.model.bias)
             assert s.training.train_losses == p.training.train_losses
+            assert s.training.epochs_run == p.training.epochs_run
 
     def test_unpicklable_factory_falls_back_to_serial(self, rng):
         dataset = Dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, size=20))

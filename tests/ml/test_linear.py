@@ -35,7 +35,10 @@ class TestSoftmaxRegression:
     def test_gradients_shapes(self):
         model = SoftmaxRegression(n_classes=3, random_state=0)
         model.initialize(4)
-        grads = model.gradients(np.zeros((6, 4)), np.zeros(6, dtype=int))
+        losses, grads = model.losses_and_gradients(
+            np.zeros((6, 4)), np.zeros(6, dtype=int)
+        )
+        assert losses.shape == (6,)
         assert grads[0].shape == (4, 3)
         assert grads[1].shape == (3,)
 
@@ -46,7 +49,8 @@ class TestSoftmaxRegression:
         features = rng.normal(size=(8, 4))
         labels = rng.integers(0, 3, size=8)
         dataset = Dataset(features, labels)
-        grad_w = model.gradients(features, labels)[0]
+        losses, (grad_w, _) = model.losses_and_gradients(features, labels)
+        assert losses.mean() == pytest.approx(model.loss(dataset))
         eps = 1e-6
         i, j = 2, 1
         model.weights[i, j] += eps

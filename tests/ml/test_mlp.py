@@ -65,7 +65,8 @@ class TestMLPGradients:
         features = rng.normal(size=(10, 3))
         labels = rng.integers(0, 2, size=10)
         dataset = Dataset(features, labels)
-        grads = model.gradients(features, labels)
+        losses, grads = model.losses_and_gradients(features, labels)
+        assert losses.mean() == pytest.approx(model.loss(dataset))
         eps = 1e-6
         # Check one entry of the first weight matrix and one of the last bias.
         for param_index, coords in [(0, (1, 2)), (3, (0,))]:

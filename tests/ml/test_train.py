@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.engine.factories import MLPFactory, get_model_factory
+from repro.engine.job import TrainingJob, run_training_wave
 from repro.ml.data import Dataset
 from repro.ml.linear import SoftmaxRegression
+from repro.ml.mlp import MLPClassifier
 from repro.ml.train import Trainer, TrainingConfig, train_model
 from repro.utils.exceptions import ConfigurationError
+from tests.ml.test_lockstep import PerBatchSoftmax
 
 
 class TestTrainingConfig:
@@ -160,3 +166,93 @@ class TestRestoreBest:
         model = SoftmaxRegression(n_classes=2, random_state=0)
         result = Trainer(config=config, random_state=0).fit(model, separable_dataset)
         assert not result.restored_best
+
+
+@pytest.fixture
+def loss_calls(monkeypatch) -> list[Dataset]:
+    """Every dataset a model's ``loss`` is evaluated on, in call order."""
+    calls: list[Dataset] = []
+    for cls in (SoftmaxRegression, MLPClassifier):
+
+        def counting(self, dataset, _loss=cls.loss):
+            calls.append(dataset)
+            return _loss(self, dataset)
+
+        monkeypatch.setattr(cls, "loss", counting)
+    return calls
+
+
+class TestNoTrainingLossPass:
+    """Training evaluates no loss except the validation loss it stops on."""
+
+    @pytest.mark.parametrize(
+        "model, optimizer",
+        [
+            (SoftmaxRegression(2, random_state=0), "adam"),  # lockstep, K = 1
+            (PerBatchSoftmax(2, random_state=0), "adam"),
+            (MLPClassifier(2, hidden_sizes=(4,), random_state=0), "adam"),
+            (SoftmaxRegression(2, random_state=0), "sgd"),
+        ],
+        ids=["lockstep", "per-batch", "mlp", "sgd"],
+    )
+    def test_fit_without_validation_evaluates_nothing(
+        self, separable_dataset, loss_calls, model, optimizer
+    ):
+        config = TrainingConfig(epochs=4, batch_size=16, optimizer=optimizer)
+        result = Trainer(config, random_state=0).fit(model, separable_dataset)
+        assert result.epochs_run == 4
+        assert loss_calls == []
+
+    def test_lockstep_wave_evaluates_nothing(self, separable_dataset, loss_calls):
+        jobs = [
+            TrainingJob(
+                train=separable_dataset.take(n),
+                n_classes=2,
+                seed=seed,
+                trainer_config=TrainingConfig(epochs=3, batch_size=16),
+                model_factory=get_model_factory("softmax"),
+                factory_name="softmax",
+            )
+            for seed, n in enumerate((40, 70, 120))
+        ]
+        results = run_training_wave(jobs)
+        assert [result.training.epochs_run for result in results] == [3, 3, 3]
+        assert loss_calls == []
+
+    @pytest.mark.parametrize(
+        "factory",
+        [get_model_factory("softmax"), MLPFactory(hidden_sizes=(4,))],
+        ids=["softmax", "mlp"],
+    )
+    def test_validation_is_the_only_loss_evaluated(
+        self, separable_dataset, loss_calls, factory
+    ):
+        train = separable_dataset.take(80)
+        validation = separable_dataset.subset(np.arange(80, len(separable_dataset)))
+        config = TrainingConfig(epochs=6, batch_size=16, early_stopping_patience=2)
+        result = Trainer(config, random_state=0).fit(factory(2), train, validation)
+        assert len(loss_calls) == result.epochs_run
+        assert all(dataset is validation for dataset in loss_calls)
+
+
+class TestEpochTrainingLoss:
+    """An epoch's training loss scores each example at the step that used it."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            SoftmaxRegression(2, random_state=0),  # lockstep, K = 1
+            PerBatchSoftmax(2, random_state=0),
+            MLPClassifier(2, hidden_sizes=(4,), random_state=0),
+        ],
+        ids=["lockstep", "per-batch", "mlp"],
+    )
+    def test_one_full_batch_scores_the_initial_model(self, separable_dataset, model):
+        # One epoch of one batch takes a single step, so every example is
+        # scored by the initial parameters.
+        train = separable_dataset.take(40)
+        initial = copy.deepcopy(model)
+        initial.initialize(train.n_features)
+        config = TrainingConfig(epochs=1, batch_size=len(train))
+        result = Trainer(config, random_state=0).fit(model, train)
+        assert result.train_losses == [pytest.approx(initial.loss(train), rel=1e-12)]

@@ -148,7 +148,9 @@ class TestWorkerSpanShipping:
             parallel = executor.submit(jobs)
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s.model.weights, p.model.weights)
+            np.testing.assert_array_equal(s.model.bias, p.model.bias)
             assert s.training.train_losses == p.training.train_losses
+            assert s.training.epochs_run == p.training.epochs_run
 
     def test_worker_metrics_merge_into_the_parent_registry(self, live_tracer):
         from repro.telemetry import get_registry
